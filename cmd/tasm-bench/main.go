@@ -7,22 +7,18 @@
 //	tasm-bench -exp all                 # everything, full scale (minutes)
 //	tasm-bench -exp fig6,fig7 -quick    # selected experiments, reduced scale
 //	tasm-bench -exp fig11 -workloads W1,W5
-//	tasm-bench -exp perf -json BENCH_1.json   # scan fast path, JSON record
 //
 // Results print as aligned text tables with the paper's reference values in
-// the notes; EXPERIMENTS.md records a full run. The perf experiment
-// additionally writes a machine-readable JSON file (-json) so the
-// performance trajectory can be tracked across PRs.
+// the notes. System-level performance (scan, stream, serve, adapt, shard,
+// load, live) is measured by `go run ./benchmark`, not here.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -32,8 +28,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "comma-separated experiments: table1,fig6,fig7,fig8,fig9,fig10,fig11,fig12,edge,costfit,alpha,eta,perf,stream,serve,adapt,shard,load,live,all")
-		jsonOut   = flag.String("json", "", "path for machine-readable results of the perf/stream/serve experiments, e.g. BENCH_1.json; when more than one of them runs, the experiment name is inserted before the extension (empty = print tables only)")
+		exp       = flag.String("exp", "all", "comma-separated experiments: table1,fig6,fig7,fig8,fig9,fig10,fig11,fig12,edge,costfit,alpha,eta,all")
 		quick     = flag.Bool("quick", false, "reduced-scale run (smaller videos, fewer queries)")
 		width     = flag.Int("w", 0, "video width (default 320; quick 256)")
 		height    = flag.Int("h", 0, "video height (default 180; quick 144)")
@@ -96,24 +91,6 @@ func main() {
 	}
 	all := selected["all"]
 	want := func(name string) bool { return all || selected[name] }
-
-	// Several experiments emit JSON; if more than one runs with a single
-	// -json path they must not overwrite each other, so the experiment
-	// name is spliced in (BENCH.json -> BENCH.perf.json, ...). A single
-	// JSON-writing experiment keeps the exact path (the CI shape).
-	jsonWriters := 0
-	for _, name := range []string{"perf", "stream", "serve", "adapt", "shard", "load", "live"} {
-		if want(name) {
-			jsonWriters++
-		}
-	}
-	jsonPath := func(name string) string {
-		if *jsonOut == "" || jsonWriters <= 1 {
-			return *jsonOut
-		}
-		ext := filepath.Ext(*jsonOut)
-		return strings.TrimSuffix(*jsonOut, ext) + "." + name + ext
-	}
 
 	start := time.Now()
 	ran := 0
@@ -222,83 +199,9 @@ func main() {
 		}
 		return err
 	})
-	run("perf", func() error {
-		res, t, err := bench.RunScanPerf(opt)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		return writeJSON(jsonPath("perf"), "perf", res)
-	})
-	run("stream", func() error {
-		res, t, err := bench.RunStreamPerf(opt)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		return writeJSON(jsonPath("stream"), "stream", res)
-	})
-	run("serve", func() error {
-		res, t, err := bench.RunServePerf(opt)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		return writeJSON(jsonPath("serve"), "serve", res)
-	})
-	run("adapt", func() error {
-		res, t, err := bench.RunAdaptPerf(opt)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		return writeJSON(jsonPath("adapt"), "adapt", res)
-	})
-	run("shard", func() error {
-		res, t, err := bench.RunShardPerf(opt)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		return writeJSON(jsonPath("shard"), "shard", res)
-	})
-	run("load", func() error {
-		res, t, err := bench.RunLoad(opt)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		return writeJSON(jsonPath("load"), "load", res)
-	})
-	run("live", func() error {
-		res, t, err := bench.RunLive(opt)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		return writeJSON(jsonPath("live"), "live", res)
-	})
-
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "tasm-bench: no experiment matched %q\n", *exp)
 		os.Exit(2)
 	}
 	fmt.Printf("\n%d experiment(s) in %s\n", ran, time.Since(start).Round(time.Millisecond))
-}
-
-// writeJSON records an experiment's machine-readable results (no-op when
-// -json was not given).
-func writeJSON(path, name string, res any) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s results written to %s\n", name, path)
-	return nil
 }

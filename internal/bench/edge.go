@@ -134,7 +134,7 @@ func RunEdgeDetection(o Options) ([]EdgeResult, *Table, error) {
 type FitResult struct {
 	Model   costmodel.Model
 	Report  costmodel.FitReport
-	Samples int
+	Samples []costmodel.Sample
 }
 
 // RunCostModelFit reproduces the paper's cost-model validation: measure
@@ -203,7 +203,7 @@ func RunCostModelFit(o Options) (FitResult, *Table, error) {
 		},
 		Notes: []string{"paper fits 1,400 combinations with R^2 = 0.996"},
 	}
-	return FitResult{Model: model, Report: rep, Samples: len(samples)}, t, nil
+	return FitResult{Model: model, Report: rep, Samples: samples}, t, nil
 }
 
 // AlphaCell summarizes the decision rule at one α threshold.

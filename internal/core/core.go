@@ -101,6 +101,13 @@ type Manager struct {
 	// other's uncommitted state. Readers never take these locks.
 	retileMu sync.Map
 
+	// planMu makes DeleteVideo's two steps (index, then store) one event
+	// for a scan's planning phase (snapshot, then index lookup), held
+	// shared: without it a scan could take its lease on the still-stored
+	// video and then read the already-emptied index — an empty answer
+	// for a video that was never re-ingested. Decoding runs outside it.
+	planMu sync.RWMutex
+
 	// flights deduplicates concurrent decodes of the same (SOT, tile) when
 	// the decoded-tile cache is enabled: N scans of one region pay one
 	// disk decode.
@@ -536,6 +543,15 @@ func (m *Manager) decodeTilePrefix(ctx context.Context, video string, lease *til
 		}
 		f, leader := m.flights.join(k, n)
 		if leader {
+			// The previous leader may have Put and deregistered between
+			// the miss above and this join (it Puts before it finishes,
+			// so its frames are visible by now): look again before
+			// decoding the same tile a second time.
+			if fs, ok := m.cache.Peek(k, n); ok {
+				m.flights.finish(k, f, fs, nil)
+				r.hit = true
+				return fs, r
+			}
 			frames, r := m.decodeTileFromDisk(ctx, video, lease, sot, ti, n, k)
 			m.flights.finish(k, f, frames, r.err)
 			return frames, r
@@ -1074,10 +1090,7 @@ func (m *Manager) DeleteVideo(video string) error {
 	if _, err := m.store.Meta(video); err != nil {
 		return err
 	}
-	if err := m.index.DeleteVideo(video); err != nil {
-		return err
-	}
-	if err := m.store.DeleteVideo(video); err != nil {
+	if err := m.deleteIndexAndTiles(video); err != nil {
 		return err
 	}
 	m.cache.InvalidateVideo(video)
@@ -1097,6 +1110,18 @@ func (m *Manager) DeleteVideo(video string) error {
 		m.observer.ForgetVideo(video)
 	}
 	return nil
+}
+
+// deleteIndexAndTiles is DeleteVideo's commit, exclusive of every scan's
+// planning phase (see planMu): a scan planned before it returns the full
+// pre-delete answer from its lease, one planned after it finds no video.
+func (m *Manager) deleteIndexAndTiles(video string) error {
+	m.planMu.Lock()
+	defer m.planMu.Unlock()
+	if err := m.index.DeleteVideo(video); err != nil {
+		return err
+	}
+	return m.store.DeleteVideo(video)
 }
 
 // CacheStats snapshots the decoded-tile cache's global counters (all zero

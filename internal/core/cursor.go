@@ -9,6 +9,7 @@ import (
 
 	"github.com/tasm-repro/tasm/internal/costmodel"
 	"github.com/tasm-repro/tasm/internal/frame"
+	"github.com/tasm-repro/tasm/internal/geom"
 	"github.com/tasm-repro/tasm/internal/obs"
 	"github.com/tasm-repro/tasm/internal/query"
 	"github.com/tasm-repro/tasm/internal/tasmerr"
@@ -375,29 +376,39 @@ func (m *Manager) ScanCursor(ctx context.Context, q query.Query) (*ScanCursor, e
 func (m *Manager) scanCursor(ctx context.Context, q query.Query, window int) (*ScanCursor, error) {
 	c := newCursor[RegionResult](m, ctx)
 	tr := obs.FromContext(c.ctx)
-	endLease := tr.StartSpan("lease")
-	meta, lease, err := m.store.SnapshotRangeContext(c.ctx, q.Video, q.From, q.To)
-	endLease("video", q.Video)
+	var (
+		meta     tilestore.VideoMeta
+		lease    *tilestore.Lease
+		from, to int
+		regions  map[int][]geom.Rect
+	)
+	// Snapshot and index lookup are one step with respect to DeleteVideo
+	// (see planMu): constructor errors leave no lease held.
+	err := func() (err error) {
+		m.planMu.RLock()
+		defer m.planMu.RUnlock()
+		endLease := tr.StartSpan("lease")
+		meta, lease, err = m.store.SnapshotRangeContext(c.ctx, q.Video, q.From, q.To)
+		endLease("video", q.Video)
+		if err != nil {
+			return err
+		}
+		if from, to, err = clampRange(q.Video, q.From, q.To, meta.FrameCount); err != nil {
+			lease.Release()
+			return err
+		}
+		indexStart := time.Now()
+		if regions, c.stats.IndexWall, err = m.regionsForQuery(q, from, to); err != nil {
+			lease.Release()
+			return err
+		}
+		tr.AddSpan("index", indexStart, c.stats.IndexWall)
+		return nil
+	}()
 	if err != nil {
 		c.cancel()
 		return nil, err
 	}
-	release := func(err error) error {
-		lease.Release()
-		c.cancel()
-		return err
-	}
-	from, to, err := clampRange(q.Video, q.From, q.To, meta.FrameCount)
-	if err != nil {
-		return nil, release(err)
-	}
-	indexStart := time.Now()
-	regions, indexWall, err := m.regionsForQuery(q, from, to)
-	if err != nil {
-		return nil, release(err)
-	}
-	c.stats.IndexWall = indexWall
-	tr.AddSpan("index", indexStart, indexWall)
 
 	// Plan every touched SOT up front: which frame offsets it must serve
 	// and which tiles (decoded through which offset) it needs.

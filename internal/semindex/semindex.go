@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/tasm-repro/tasm/internal/btree"
 	"github.com/tasm-repro/tasm/internal/geom"
@@ -39,9 +40,16 @@ type Entry struct {
 }
 
 // Index is the semantic index. All methods are safe for concurrent use
-// (the underlying tree serializes access).
+// (the underlying tree serializes access), and a lookup running beside
+// DeleteVideo sees all of the video's detections or none of them.
 type Index struct {
 	tree *btree.Tree
+	// mu makes DeleteVideo (exclusive) all-or-nothing for Lookup,
+	// LookupBoxes and Labels (shared): the tree serializes single
+	// operations only, and a lookup between two of DeleteVideo's
+	// tree.Delete calls would return a proper subset of a video's
+	// detections as if it were the answer.
+	mu sync.RWMutex
 }
 
 // Open opens or creates a persistent index at path.
@@ -198,6 +206,8 @@ func (ix *Index) Lookup(video, label string, fromFrame, toFrame int) ([]Entry, e
 	start := detKey(video, label, fromFrame, geom.Rect{})[:len(detPrefix(video, label))+4]
 	end := detKey(video, label, toFrame, geom.Rect{})[:len(detPrefix(video, label))+4]
 	var out []Entry
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	err := ix.tree.Scan(start, end, func(k, v []byte) bool {
 		e, ok := parseDetKey(k, video, label)
 		if !ok {
@@ -251,6 +261,8 @@ func (ix *Index) Labels(video string) ([]string, error) {
 	prefix = append(prefix, 0)
 	var labels []string
 	var last string
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	err := ix.tree.Scan(prefix, upperBound(prefix), func(k, v []byte) bool {
 		rest := k[len(prefix):]
 		i := 0
@@ -289,6 +301,8 @@ func (ix *Index) DeleteVideo(video string) error {
 	if err := validName(video); err != nil {
 		return err
 	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	for _, kind := range []byte{prefixDetection, prefixCoverage} {
 		prefix := append(append([]byte{kind}, video...), 0)
 		// Collect first, then delete: Delete rebalances leaves, which

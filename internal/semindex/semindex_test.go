@@ -2,6 +2,7 @@ package semindex
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"github.com/tasm-repro/tasm/internal/geom"
@@ -286,5 +287,64 @@ func TestDeleteVideo(t *testing.T) {
 	// Deleting a video with no records is a no-op, not an error.
 	if err := ix.DeleteVideo("ghost"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeleteVideoAtomicForLookups hammers Lookup and Labels while
+// DeleteVideo runs: every read must return all of the video's detections
+// or none — a proper subset would reach a scan as a silently partial
+// answer.
+func TestDeleteVideoAtomicForLookups(t *testing.T) {
+	const frames = 400
+	for round := 0; round < 20; round++ {
+		ix := OpenMemory()
+		for f := 0; f < frames; f++ {
+			for _, label := range []string{"car", "person"} {
+				if err := ix.Add("v", Detection{Frame: f, Label: label, Box: geom.R(0, 0, 8, 8)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		start := make(chan struct{})
+		deleted := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for {
+					got, err := ix.Lookup("v", "person", 0, frames)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(got) != 0 && len(got) != frames {
+						t.Errorf("lookup during delete returned %d of %d detections", len(got), frames)
+						return
+					}
+					labels, err := ix.Labels("v")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(labels) != 0 && len(labels) != 2 {
+						t.Errorf("labels during delete = %v, want both or none", labels)
+						return
+					}
+					select {
+					case <-deleted:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		close(start)
+		if err := ix.DeleteVideo("v"); err != nil {
+			t.Fatal(err)
+		}
+		close(deleted)
+		wg.Wait()
 	}
 }

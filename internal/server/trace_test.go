@@ -11,10 +11,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/tasm-repro/tasm/client"
 	"github.com/tasm-repro/tasm/internal/obs"
@@ -184,5 +188,110 @@ func TestHistogramCountsConcurrentStreams(t *testing.T) {
 			res.Body.Close()
 			return strings.Contains(string(body), series+want+"\n")
 		})
+	}
+}
+
+// requestHist is one endpoint's tasm_request_seconds series as scraped:
+// cumulative bucket counts by upper bound, _count and _sum.
+type requestHist struct {
+	cum   map[float64]int64
+	count int64
+	sum   float64
+}
+
+// scrapeScanHist reads POST /v1/scan's request-wall histogram off /metrics.
+func scrapeScanHist(t *testing.T, url string) requestHist {
+	t.Helper()
+	res, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const labels = `{endpoint="POST /v1/scan",tenant="-"`
+	h := requestHist{cum: map[float64]int64{}}
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "tasm_request_seconds_bucket"+labels+`,le="`); ok {
+			le, n, _ := strings.Cut(rest, `"} `)
+			bound := math.Inf(1)
+			if le != "+Inf" {
+				if bound, err = strconv.ParseFloat(le, 64); err != nil {
+					t.Fatalf("bad le in %q: %v", line, err)
+				}
+			}
+			if h.cum[bound], err = strconv.ParseInt(n, 10, 64); err != nil {
+				t.Fatalf("bad count in %q: %v", line, err)
+			}
+		} else if rest, ok := strings.CutPrefix(line, "tasm_request_seconds_count"+labels+"} "); ok {
+			if h.count, err = strconv.ParseInt(rest, 10, 64); err != nil {
+				t.Fatalf("bad count in %q: %v", line, err)
+			}
+		} else if rest, ok := strings.CutPrefix(line, "tasm_request_seconds_sum"+labels+"} "); ok {
+			if h.sum, err = strconv.ParseFloat(rest, 64); err != nil {
+				t.Fatalf("bad sum in %q: %v", line, err)
+			}
+		}
+	}
+	return h
+}
+
+// TestRequestHistogramAgreesWithClient is the closed-loop cross-check of
+// the /metrics pipeline: after N sequential scans the request-wall
+// histogram has counted exactly N, and it reports no latency the client
+// did not see. The client's wall contains the server's by construction —
+// it starts before the request is sent, and it ends at the body's EOF,
+// which net/http sends only after ServeHTTP has taken its reading and
+// returned — so at every bucket bound at least as many server readings
+// as client readings lie at or below it. At any quantile (p50, p99) that
+// says the bucket holding the server's quantile starts below the client's
+// exact one. The other side (the client's quantile within that bucket's
+// upper bound) is not asserted: the difference is the loopback round trip
+// plus scheduling, and on a busy machine it crosses bucket bounds.
+func TestRequestHistogramAgreesWithClient(t *testing.T) {
+	h := newHarness(t, server.Config{})
+	const n = 40
+	before := scrapeScanHist(t, h.ts.URL)
+	walls := make([]float64, n)
+	for i := range walls {
+		start := time.Now()
+		res, err := http.Post(h.ts.URL+"/v1/scan", "application/json", strings.NewReader(`{"sql":"`+trafficSQL+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		walls[i] = time.Since(start).Seconds()
+		if err != nil || res.StatusCode != http.StatusOK {
+			t.Fatalf("scan %d: status %d, %v", i, res.StatusCode, err)
+		}
+		if res.ContentLength != -1 {
+			t.Fatal("scan response was not streamed; its EOF no longer orders the two clocks")
+		}
+	}
+	after := scrapeScanHist(t, h.ts.URL)
+
+	if got := after.count - before.count; got != n {
+		t.Fatalf("tasm_request_seconds_count moved by %d over %d requests", got, n)
+	}
+	if got := after.cum[math.Inf(1)] - before.cum[math.Inf(1)]; got != n {
+		t.Fatalf("+Inf bucket moved by %d over %d requests", got, n)
+	}
+	var clientSum float64
+	for _, d := range walls {
+		clientSum += d
+	}
+	if got := after.sum - before.sum; got <= 0 || got > clientSum {
+		t.Fatalf("server wall sum %.6fs over %d requests; the client saw %.6fs in total", got, n, clientSum)
+	}
+	sort.Float64s(walls)
+	for _, b := range obs.DefaultLatencyBuckets {
+		srv := after.cum[b] - before.cum[b]
+		atOrBelow := int64(sort.SearchFloat64s(walls, math.Nextafter(b, math.Inf(1))))
+		if srv < atOrBelow {
+			t.Errorf("le=%g: %d server readings but %d client readings at or below it", b, srv, atOrBelow)
+		}
 	}
 }

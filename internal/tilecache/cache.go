@@ -171,20 +171,31 @@ func (c *Cache) Get(k Key, n int) ([]*frame.Frame, bool) {
 	if c == nil {
 		return nil, false
 	}
+	frames, ok := c.Peek(k, n)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return frames, ok
+}
+
+// Peek is Get without the hit/miss accounting, for a caller looking again
+// at a key whose miss it has already counted.
+func (c *Cache) Peek(k Key, n int) ([]*frame.Frame, bool) {
+	if c == nil {
+		return nil, false
+	}
 	s := c.shardFor(k)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.items[k]
-	if ok && len(e.frames) >= n {
-		e.use = c.clock.Add(1)
-		s.moveToFront(e)
-		frames := e.frames[:n:n]
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return frames, true
+	if !ok || len(e.frames) < n {
+		return nil, false
 	}
-	s.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
+	e.use = c.clock.Add(1)
+	s.moveToFront(e)
+	return e.frames[:n:n], true
 }
 
 // Put stores the decoded prefix for a key, replacing any shorter cached
