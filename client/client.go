@@ -243,12 +243,6 @@ func New(addr string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// Dial returns a client for the daemon at addr.
-//
-// Deprecated: Dial is the v1 constructor name, kept so existing
-// callers compile unchanged. Use New; the options are identical.
-func Dial(addr string, opts ...Option) (*Client, error) { return New(addr, opts...) }
-
 // Retryable reports whether err is safe to retry as-is: the server
 // rejected the request before doing any work (limiter 503s and live
 // append backpressure 429s — both guarantee nothing was written), or
@@ -328,14 +322,11 @@ func (c *Client) Ping(ctx context.Context) error {
 
 // ---- catalog ----
 //
-// Every unary operation has a Context form; the context-free names are
-// thin wrappers over them, mirroring the StorageManager surface. Use
-// the Context forms anywhere a hung daemon must not hang the caller —
-// the default transport deliberately has no timeout (streams are
-// long-lived), so the context is the only cancellation lever.
-
-// Videos lists stored video names.
-func (c *Client) Videos() ([]string, error) { return c.VideosContext(context.Background()) }
+// Every operation is context-first and has exactly one spelling: the
+// default transport deliberately has no timeout (streams are
+// long-lived), so the context is the only lever that keeps a hung
+// daemon from hanging the caller. This method set is also the
+// api.Backend contract the daemons serve.
 
 // VideosContext lists stored video names under a context.
 func (c *Client) VideosContext(ctx context.Context) ([]string, error) {
@@ -346,17 +337,10 @@ func (c *Client) VideosContext(ctx context.Context) ([]string, error) {
 	return resp.Videos, nil
 }
 
-// VideoInfo fetches one video's combined catalog record — meta, byte
-// footprint, and indexed labels — in a single round trip. Meta,
-// VideoBytes, and Labels are single-field views of the same endpoint;
-// prefer VideoInfo when more than one is needed (a remote listing
-// otherwise pays three requests per video, and the server recomputes
-// the on-disk byte walk each time).
-func (c *Client) VideoInfo(video string) (tasm.VideoMeta, int64, []string, error) {
-	return c.VideoInfoContext(context.Background(), video)
-}
-
-// VideoInfoContext is VideoInfo under a context.
+// VideoInfoContext fetches one video's combined catalog record — meta,
+// byte footprint, and indexed labels — in a single round trip (the
+// server computes the on-disk byte walk once per call). MetaContext is
+// the single-field view of the same endpoint.
 func (c *Client) VideoInfoContext(ctx context.Context, video string) (tasm.VideoMeta, int64, []string, error) {
 	info, err := c.videoInfo(ctx, video)
 	return info.Meta, info.Bytes, info.Labels, err
@@ -369,55 +353,23 @@ func (c *Client) videoInfo(ctx context.Context, video string) (rpcwire.VideoInfo
 	return resp, err
 }
 
-// Meta returns a stored video's catalog record.
-func (c *Client) Meta(video string) (tasm.VideoMeta, error) {
-	return c.MetaContext(context.Background(), video)
-}
-
-// MetaContext is Meta under a context.
+// MetaContext returns a stored video's catalog record.
 func (c *Client) MetaContext(ctx context.Context, video string) (tasm.VideoMeta, error) {
 	info, err := c.videoInfo(ctx, video)
 	return info.Meta, err
 }
 
-// VideoBytes returns a video's total storage footprint in bytes.
-func (c *Client) VideoBytes(video string) (int64, error) {
-	info, err := c.videoInfo(context.Background(), video)
-	return info.Bytes, err
-}
-
-// Labels returns the distinct labels indexed for a video.
-func (c *Client) Labels(video string) ([]string, error) {
-	info, err := c.videoInfo(context.Background(), video)
-	return info.Labels, err
-}
-
-// DeleteVideo removes a stored video, its index records, and any
+// DeleteVideoContext removes a stored video, its index records, and any
 // server-side cached decodes.
-func (c *Client) DeleteVideo(video string) error {
-	return c.DeleteVideoContext(context.Background(), video)
-}
-
-// DeleteVideoContext is DeleteVideo under a context.
 func (c *Client) DeleteVideoContext(ctx context.Context, video string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/videos/"+url.PathEscape(video), nil, nil)
 }
 
 // ---- ingest ----
 
-// Ingest stores frames as a new untiled video (one SOT per GOP).
-func (c *Client) Ingest(video string, frames []*tasm.Frame, fps int) (tasm.IngestStats, error) {
-	return c.IngestContext(context.Background(), video, frames, fps)
-}
-
 // IngestContext uploads frames and stores them as a new untiled video.
 func (c *Client) IngestContext(ctx context.Context, video string, frames []*tasm.Frame, fps int) (tasm.IngestStats, error) {
 	return c.ingest(ctx, video, frames, fps, nil)
-}
-
-// IngestTiled stores frames with caller-chosen per-SOT layouts.
-func (c *Client) IngestTiled(video string, frames []*tasm.Frame, fps int, layouts []tasm.Layout) (tasm.IngestStats, error) {
-	return c.IngestTiledContext(context.Background(), video, frames, fps, layouts)
 }
 
 // IngestTiledContext uploads frames with caller-chosen per-SOT layouts
@@ -443,18 +395,8 @@ func (c *Client) ingest(ctx context.Context, video string, frames []*tasm.Frame,
 
 // ---- semantic index ----
 
-// AddMetadata records one object detection.
-func (c *Client) AddMetadata(video string, frameIdx int, label string, x1, y1, x2, y2 int) error {
-	return c.AddDetections(video, []tasm.Detection{{Frame: frameIdx, Label: label, Box: tasm.R(x1, y1, x2, y2)}})
-}
-
-// AddDetections records a batch of detections.
-func (c *Client) AddDetections(video string, ds []tasm.Detection) error {
-	return c.AddDetectionsContext(context.Background(), video, ds)
-}
-
-// AddDetectionsContext is AddDetections under a context (detection
-// batches can be large; the upload honors cancellation).
+// AddDetectionsContext records a batch of detections.
+// (Detection batches can be large; the upload honors cancellation.)
 func (c *Client) AddDetectionsContext(ctx context.Context, video string, ds []tasm.Detection) error {
 	req := rpcwire.MetadataRequest{Video: video, Detections: make([]rpcwire.Detection, len(ds))}
 	for i, d := range ds {
@@ -463,25 +405,15 @@ func (c *Client) AddDetectionsContext(ctx context.Context, video string, ds []ta
 	return c.do(ctx, http.MethodPost, "/v1/metadata", req, nil)
 }
 
-// MarkDetected records that frames [from, to) were fully processed by a
+// MarkDetectedContext records that frames [from, to) were fully processed by a
 // detector for label.
-func (c *Client) MarkDetected(video, label string, from, to int) error {
-	return c.MarkDetectedContext(context.Background(), video, label, from, to)
-}
-
-// MarkDetectedContext is MarkDetected under a context.
 func (c *Client) MarkDetectedContext(ctx context.Context, video, label string, from, to int) error {
 	req := rpcwire.MarkDetectedRequest{Video: video, Label: label, From: from, To: to}
 	return c.do(ctx, http.MethodPost, "/v1/markdetected", req, nil)
 }
 
-// LookupDetections returns indexed detections for (video, label) within
+// LookupDetectionsContext returns indexed detections for (video, label) within
 // [fromFrame, toFrame).
-func (c *Client) LookupDetections(video, label string, fromFrame, toFrame int) ([]tasm.Detection, error) {
-	return c.LookupDetectionsContext(context.Background(), video, label, fromFrame, toFrame)
-}
-
-// LookupDetectionsContext is LookupDetections under a context.
 func (c *Client) LookupDetectionsContext(ctx context.Context, video, label string, fromFrame, toFrame int) ([]tasm.Detection, error) {
 	q := url.Values{}
 	q.Set("video", video)
@@ -501,12 +433,6 @@ func (c *Client) LookupDetectionsContext(ctx context.Context, video, label strin
 
 // ---- scans ----
 
-// Scan materializes a remote Scan (a cursor drain, like the in-process
-// slice API).
-func (c *Client) Scan(q tasm.Query) ([]tasm.RegionResult, tasm.ScanStats, error) {
-	return c.ScanContext(context.Background(), q)
-}
-
 // ScanContext materializes a remote Scan under a context.
 func (c *Client) ScanContext(ctx context.Context, q tasm.Query) ([]tasm.RegionResult, tasm.ScanStats, error) {
 	cur, err := c.ScanCursor(ctx, q)
@@ -514,11 +440,6 @@ func (c *Client) ScanContext(ctx context.Context, q tasm.Query) ([]tasm.RegionRe
 		return nil, tasm.ScanStats{}, err
 	}
 	return drainScan(cur)
-}
-
-// ScanSQL materializes a remote Scan in the SELECT form.
-func (c *Client) ScanSQL(sql string) ([]tasm.RegionResult, tasm.ScanStats, error) {
-	return c.ScanSQLContext(context.Background(), sql)
 }
 
 // ScanSQLContext materializes a remote Scan in the SELECT form.
@@ -565,11 +486,6 @@ func (c *Client) scanCursor(ctx context.Context, req rpcwire.ScanRequest) (*Scan
 	return &ScanCursor{s: s}, nil
 }
 
-// DecodeFrames materializes whole reassembled frames [from, to).
-func (c *Client) DecodeFrames(video string, from, to int) ([]*tasm.Frame, tasm.ScanStats, error) {
-	return c.DecodeFramesContext(context.Background(), video, from, to)
-}
-
 // DecodeFramesContext materializes whole reassembled frames [from, to)
 // under a context.
 func (c *Client) DecodeFramesContext(ctx context.Context, video string, from, to int) ([]*tasm.Frame, tasm.ScanStats, error) {
@@ -600,13 +516,8 @@ func (c *Client) DecodeFramesCursor(ctx context.Context, video string, from, to 
 
 // ---- layout tuning ----
 
-// DesignLayout asks the server to partition a SOT around the indexed
+// DesignLayoutContext asks the server to partition a SOT around the indexed
 // boxes of the given labels.
-func (c *Client) DesignLayout(video string, sotID int, labels []string) (tasm.Layout, error) {
-	return c.DesignLayoutContext(context.Background(), video, sotID, labels)
-}
-
-// DesignLayoutContext is DesignLayout under a context.
 func (c *Client) DesignLayoutContext(ctx context.Context, video string, sotID int, labels []string) (tasm.Layout, error) {
 	req := rpcwire.DesignLayoutRequest{Video: video, SOT: sotID, Labels: labels}
 	var resp rpcwire.DesignLayoutResponse
@@ -614,11 +525,6 @@ func (c *Client) DesignLayoutContext(ctx context.Context, video string, sotID in
 		return tasm.Layout{}, err
 	}
 	return resp.Layout.ToLayout(), nil
-}
-
-// RetileSOT re-encodes one SOT with the given layout.
-func (c *Client) RetileSOT(video string, sotID int, l tasm.Layout) (tasm.RetileStats, error) {
-	return c.RetileSOTContext(context.Background(), video, sotID, l)
 }
 
 // RetileSOTContext re-encodes one SOT with the given layout under a
@@ -634,10 +540,7 @@ func (c *Client) RetileSOTContext(ctx context.Context, video string, sotID int, 
 
 // ---- maintenance ----
 
-// GC reclaims dead storage server-side.
-func (c *Client) GC() (tasm.GCReport, error) { return c.GCContext(context.Background()) }
-
-// GCContext is GC under a context.
+// GCContext reclaims dead storage server-side.
 func (c *Client) GCContext(ctx context.Context) (tasm.GCReport, error) {
 	var resp rpcwire.GCReport
 	if err := c.do(ctx, http.MethodPost, "/v1/gc", nil, &resp); err != nil {
@@ -646,10 +549,7 @@ func (c *Client) GCContext(ctx context.Context) (tasm.GCReport, error) {
 	return resp.ToGCReport(), nil
 }
 
-// FSCK verifies the server's store against the bytes on disk.
-func (c *Client) FSCK() (tasm.FsckReport, error) { return c.FSCKContext(context.Background()) }
-
-// FSCKContext is FSCK under a context.
+// FSCKContext verifies the server's store against the bytes on disk.
 func (c *Client) FSCKContext(ctx context.Context) (tasm.FsckReport, error) {
 	var resp rpcwire.FsckReport
 	if err := c.do(ctx, http.MethodPost, "/v1/fsck", nil, &resp); err != nil {
@@ -658,14 +558,9 @@ func (c *Client) FSCKContext(ctx context.Context) (tasm.FsckReport, error) {
 	return resp.ToFsckReport(), nil
 }
 
-// RepairStore quarantines corrupt tile versions server-side and falls
+// RepairStoreContext quarantines corrupt tile versions server-side and falls
 // back to the newest intact earlier version of each — the storage half
 // of `tasmctl fsck -repair`, run against a remote daemon.
-func (c *Client) RepairStore() (tasm.RepairReport, error) {
-	return c.RepairStoreContext(context.Background())
-}
-
-// RepairStoreContext is RepairStore under a context.
 func (c *Client) RepairStoreContext(ctx context.Context) (tasm.RepairReport, error) {
 	var resp rpcwire.StoreRepairReport
 	if err := c.do(ctx, http.MethodPost, "/v1/repairstore", nil, &resp); err != nil {
@@ -674,24 +569,14 @@ func (c *Client) RepairStoreContext(ctx context.Context) (tasm.RepairReport, err
 	return resp.ToStoreRepairReport(), nil
 }
 
-// RepairPointers re-materializes one video's box→tile index pointers
+// RepairPointersContext re-materializes one video's box→tile index pointers
 // server-side.
-func (c *Client) RepairPointers(video string) error {
-	return c.RepairPointersContext(context.Background(), video)
-}
-
-// RepairPointersContext is RepairPointers under a context.
 func (c *Client) RepairPointersContext(ctx context.Context, video string) error {
 	return c.do(ctx, http.MethodPost, "/v1/repair", rpcwire.RepairRequest{Video: video}, nil)
 }
 
-// CacheStats snapshots the daemon's decoded-tile cache counters.
+// CacheStatsContext snapshots the daemon's decoded-tile cache counters.
 // Unlike the in-process form this can fail (the daemon may be down).
-func (c *Client) CacheStats() (tasm.CacheStats, error) {
-	return c.CacheStatsContext(context.Background())
-}
-
-// CacheStatsContext is CacheStats under a context.
 func (c *Client) CacheStatsContext(ctx context.Context) (tasm.CacheStats, error) {
 	var resp rpcwire.CacheStats
 	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &resp); err != nil {
@@ -731,13 +616,8 @@ func (c *Client) ShardCacheStats(ctx context.Context) (tasm.CacheStats, []ShardS
 	return resp.ToCacheStats(), shards, nil
 }
 
-// AutotileStatus snapshots the daemon's background adaptive-tiling
+// AutotileStatusContext snapshots the daemon's background adaptive-tiling
 // subsystem; Enabled false means the daemon runs without -autotile.
-func (c *Client) AutotileStatus() (tasm.AutotileStatus, error) {
-	return c.AutotileStatusContext(context.Background())
-}
-
-// AutotileStatusContext is AutotileStatus under a context.
 func (c *Client) AutotileStatusContext(ctx context.Context) (tasm.AutotileStatus, error) {
 	var resp rpcwire.AutotileStatus
 	if err := c.do(ctx, http.MethodGet, "/v1/autotile/status", nil, &resp); err != nil {
@@ -746,26 +626,16 @@ func (c *Client) AutotileStatusContext(ctx context.Context) (tasm.AutotileStatus
 	return resp.ToAutotileStatus(), nil
 }
 
-// AutotilePause suspends the daemon's background re-tiling; observation
+// AutotilePauseContext suspends the daemon's background re-tiling; observation
 // continues, so evidence keeps accumulating for when it resumes. reason
 // (optional) is surfaced in the status. Fails with ErrAutotileDisabled
 // on a daemon without -autotile.
-func (c *Client) AutotilePause(reason string) error {
-	return c.AutotilePauseContext(context.Background(), reason)
-}
-
-// AutotilePauseContext is AutotilePause under a context.
 func (c *Client) AutotilePauseContext(ctx context.Context, reason string) error {
 	return c.do(ctx, http.MethodPost, "/v1/autotile/pause", rpcwire.AutotilePauseRequest{Reason: reason}, nil)
 }
 
-// AutotileResume lifts a pause — operator-initiated or the loop's own
+// AutotileResumeContext lifts a pause — operator-initiated or the loop's own
 // pause-on-error — and kicks a decision cycle.
-func (c *Client) AutotileResume() error {
-	return c.AutotileResumeContext(context.Background())
-}
-
-// AutotileResumeContext is AutotileResume under a context.
 func (c *Client) AutotileResumeContext(ctx context.Context) error {
 	return c.do(ctx, http.MethodPost, "/v1/autotile/resume", nil, nil)
 }

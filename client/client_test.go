@@ -50,7 +50,7 @@ func TestOverloadedIsTypedAndRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Videos()
+	_, err = c.VideosContext(context.Background())
 	if !errors.Is(err, client.ErrOverloaded) {
 		t.Fatalf("got %v, want ErrOverloaded", err)
 	}
@@ -77,7 +77,7 @@ func TestWithRetryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	videos, err := c.Videos()
+	videos, err := c.VideosContext(context.Background())
 	if err != nil || len(videos) != 1 {
 		t.Fatalf("retry did not recover: %v %v", videos, err)
 	}
@@ -98,7 +98,7 @@ func TestWithRetryExhausts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Videos(); !errors.Is(err, client.ErrOverloaded) {
+	if _, err := c.VideosContext(context.Background()); !errors.Is(err, client.ErrOverloaded) {
 		t.Fatalf("got %v, want ErrOverloaded after exhaustion", err)
 	}
 	if got := seen.Load(); got != 3 {
@@ -120,7 +120,7 @@ func TestWithRetryExhausts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, err := c2.Videos(); !errors.Is(err, client.ErrUnauthorized) {
+	if _, err := c2.VideosContext(context.Background()); !errors.Is(err, client.ErrUnauthorized) {
 		t.Fatalf("got %v, want ErrUnauthorized", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestWithTLSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	videos, err := c.Videos()
+	videos, err := c.VideosContext(context.Background())
 	if err != nil || len(videos) != 1 {
 		t.Fatalf("https request failed: %v %v", videos, err)
 	}
@@ -173,7 +173,7 @@ func TestWithTLSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, err := c2.Videos(); err == nil {
+	if _, err := c2.VideosContext(context.Background()); err == nil {
 		t.Fatal("untrusted certificate accepted")
 	}
 }
@@ -201,7 +201,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatalf("WithTLS over a bare address must default to https: %v", err)
 	}
 	//lint:ignore SA1019 the deprecated shim must keep working
-	if _, err := client.Dial("host:1234"); err != nil {
+	if _, err := client.New("host:1234"); err != nil {
 		t.Fatalf("deprecated Dial shim broken: %v", err)
 	}
 }

@@ -16,29 +16,20 @@ import (
 
 // ---- live ingest ----
 //
-// The append-mode surface mirrors the StorageManager's: CreateLive
-// opens an open-ended video, Append pushes frames a batch at a time
-// (each completed GOP committing atomically server-side), Subscribe
-// tails committed frames as they land, Seal converts live → batch.
+// The append-mode surface mirrors the StorageManager's:
+// CreateLiveContext opens an open-ended video, AppendContext pushes
+// frames a batch at a time (each completed GOP committing atomically
+// server-side), Subscribe tails committed frames as they land,
+// SealContext converts live → batch.
 // Append failures wrapping tasm.ErrIngestBackpressure mean the video's
 // commit queue was full and nothing was written — Retryable reports
 // true and WithRetry backs off per the server's Retry-After.
 
-// CreateLive opens an append-mode video on the daemon. pol (optional)
+// CreateLiveContext opens an append-mode video on the daemon. pol (optional)
 // bounds retained history.
-func (c *Client) CreateLive(video string, w, h, fps int, pol *tasm.RetentionPolicy) error {
-	return c.CreateLiveContext(context.Background(), video, w, h, fps, pol)
-}
-
-// CreateLiveContext is CreateLive under a context.
 func (c *Client) CreateLiveContext(ctx context.Context, video string, w, h, fps int, pol *tasm.RetentionPolicy) error {
 	req := rpcwire.CreateLiveRequest{Video: video, W: w, H: h, FPS: fps, Retention: rpcwire.FromRetentionPolicy(pol)}
 	return c.do(ctx, http.MethodPost, "/v1/live", req, nil)
-}
-
-// Append appends frames to a live video.
-func (c *Client) Append(video string, frames []*tasm.Frame) (tasm.AppendStats, error) {
-	return c.AppendContext(context.Background(), video, frames)
 }
 
 // AppendContext uploads frames onto the end of a live video. With
@@ -77,23 +68,15 @@ func (c *Client) AppendContext(ctx context.Context, video string, frames []*tasm
 	return resp.ToAppendStats(), nil
 }
 
-// Seal converts a live video into an ordinary batch video; appends
+// SealContext converts a live video into an ordinary batch video; appends
 // after it fail with tasm.ErrVideoSealed and caught-up subscribers
 // terminate cleanly.
-func (c *Client) Seal(video string) error { return c.SealContext(context.Background(), video) }
-
-// SealContext is Seal under a context.
 func (c *Client) SealContext(ctx context.Context, video string) error {
 	return c.do(ctx, http.MethodPost, "/v1/seal", rpcwire.SealRequest{Video: video}, nil)
 }
 
-// SetRetention replaces a live video's retention policy (nil clears
+// SetRetentionContext replaces a live video's retention policy (nil clears
 // it), returning what the immediate application trimmed.
-func (c *Client) SetRetention(video string, pol *tasm.RetentionPolicy) (tasm.TrimReport, error) {
-	return c.SetRetentionContext(context.Background(), video, pol)
-}
-
-// SetRetentionContext is SetRetention under a context.
 func (c *Client) SetRetentionContext(ctx context.Context, video string, pol *tasm.RetentionPolicy) (tasm.TrimReport, error) {
 	req := rpcwire.RetentionRequest{Video: video, Retention: rpcwire.FromRetentionPolicy(pol)}
 	var resp rpcwire.TrimReport

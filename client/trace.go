@@ -52,8 +52,3 @@ func (c *Client) TraceContext(ctx context.Context, id string) (json.RawMessage, 
 	}
 	return raw, nil
 }
-
-// Trace is TraceContext under context.Background.
-func (c *Client) Trace(id string) (json.RawMessage, error) {
-	return c.TraceContext(context.Background(), id)
-}

@@ -1,6 +1,8 @@
 // Command tasm-router serves tasmd's HTTP surface over a fleet of
-// tasmd shards: a stateless scale-out tier that owns only a shard map
-// (a consistent-hash ring over shard addresses) and per-shard health.
+// tasmd shards: the same handler set (internal/api) over a Backend that
+// fans out (internal/shard) instead of a local store — a stateless
+// scale-out tier that owns only a shard map (a consistent-hash ring
+// over shard addresses) and per-shard health, with no gate of its own.
 // Video-scoped operations route to the owning shard; catalog, stats,
 // gc, fsck, and autotile fan out to every shard and merge; streaming
 // scans scatter one remote cursor per queried video and gather them

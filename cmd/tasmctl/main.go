@@ -22,13 +22,15 @@
 //	tasmctl query -addr localhost:7878 "..."      # same; flag position is free
 //	tasmctl -addr host:7878 -token SECRET -encoding binary query "..."
 //
-// Every subcommand accepts -addr host:port to run against a remote
-// tasmd through the Go client instead of opening -dir (-token supplies
-// the bearer credential for a locked-down daemon, -encoding picks the
-// stream wire framing); typed failures map to distinct exit codes
-// either way (see -h). Local mode takes the store's flock ownership
-// lease, so pointing tasmctl -dir at a live daemon's directory fails
-// fast with "store locked" — -force overrides for recovery.
+// Every subcommand drives one interface, the api.Backend the daemons
+// themselves serve: without -addr it is the in-process store, with
+// -addr host:port the Go client against a remote tasmd or tasm-router
+// (-token supplies the bearer credential for a locked-down daemon,
+// -encoding picks the stream wire framing); typed failures map to
+// distinct exit codes either way (see -h). Local mode takes the store's
+// flock ownership lease, so pointing tasmctl -dir at a live daemon's
+// directory fails fast with "store locked" — -force overrides for
+// recovery.
 package main
 
 import (
@@ -50,8 +52,11 @@ import (
 
 	"github.com/tasm-repro/tasm"
 	"github.com/tasm-repro/tasm/client"
+	"github.com/tasm-repro/tasm/internal/api"
 	"github.com/tasm-repro/tasm/internal/detect"
+	"github.com/tasm-repro/tasm/internal/rpcwire"
 	"github.com/tasm-repro/tasm/internal/scene"
+	"github.com/tasm-repro/tasm/internal/server"
 )
 
 // Exit codes: scripts branch on the failure class without parsing
@@ -326,179 +331,42 @@ func specPath(dir, video string) string {
 	return filepath.Join(dir, video+".spec.json")
 }
 
-// backend is the slice of the StorageManager surface tasmctl drives,
-// satisfied by both the in-process manager (wrapped) and the remote
-// client — the reason every subcommand works identically with -addr.
+// backend is what every subcommand drives: the one api.Backend the
+// daemons serve — the in-process store without -addr, the remote client
+// with it — which is why each subcommand works identically either way.
 // Every method is context-first: remotely these are HTTP round trips
 // against a daemon that may hang, and the signal context must be able
 // to abandon them (the client transport deliberately has no timeout).
 type backend interface {
-	Close() error
-	IngestContext(ctx context.Context, video string, frames []*tasm.Frame, fps int) (tasm.IngestStats, error)
-	AddDetectionsContext(ctx context.Context, video string, ds []tasm.Detection) error
-	MarkDetectedContext(ctx context.Context, video, label string, from, to int) error
-	ScanSQLContext(ctx context.Context, sql string) ([]tasm.RegionResult, tasm.ScanStats, error)
-	VideosContext(ctx context.Context) ([]string, error)
-	MetaContext(ctx context.Context, video string) (tasm.VideoMeta, error)
-	// VideoInfoContext returns meta + byte footprint + labels in one
-	// call: one HTTP round trip (and one server-side byte walk) per
-	// video remotely.
-	VideoInfoContext(ctx context.Context, video string) (tasm.VideoMeta, int64, []string, error)
-	DesignLayoutContext(ctx context.Context, video string, sotID int, labels []string) (tasm.Layout, error)
-	RetileSOTContext(ctx context.Context, video string, sotID int, l tasm.Layout) (tasm.RetileStats, error)
-	GCContext(ctx context.Context) (tasm.GCReport, error)
-	FSCKContext(ctx context.Context) (tasm.FsckReport, error)
-	RepairStoreContext(ctx context.Context) (tasm.RepairReport, error)
-	RepairPointersContext(ctx context.Context, video string) error
-	CacheStatsContext(ctx context.Context) (tasm.CacheStats, error)
-	AutotileStatusContext(ctx context.Context) (tasm.AutotileStatus, error)
-	AutotilePauseContext(ctx context.Context, reason string) error
-	AutotileResumeContext(ctx context.Context) error
-	CreateLiveContext(ctx context.Context, video string, w, h, fps int, pol *tasm.RetentionPolicy) error
-	AppendContext(ctx context.Context, video string, frames []*tasm.Frame) (tasm.AppendStats, error)
-	SealContext(ctx context.Context, video string) error
-	SetRetentionContext(ctx context.Context, video string, pol *tasm.RetentionPolicy) (tasm.TrimReport, error)
-}
-
-// tailCursor is the slice of the subscribe-cursor surface the CLI
-// drives, satisfied by both the in-process *tasm.SubscribeCursor and
-// the remote *client.FrameCursor (cmdSubscribe dispatches by backend
-// type because the two constructors return distinct concrete cursors).
-type tailCursor interface {
-	Next() bool
-	Result() tasm.FrameResult
-	Err() error
+	api.Backend
 	Close() error
 }
 
-// localBackend adapts *tasm.StorageManager to the backend interface.
-// The manager has no ctx form for these fast local operations, so each
-// adapter honors a signal that already arrived before starting — the
-// same "stop at the operation boundary" behavior the subcommands had.
-type localBackend struct{ *tasm.StorageManager }
+// remote is *client.Client as a backend. The client already has the
+// Backend's method set; only its stream constructors and stats call
+// return its own public types, which these lift to the interface's.
+type remote struct{ *client.Client }
 
-func (l localBackend) AddDetectionsContext(ctx context.Context, video string, ds []tasm.Detection) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.AddDetections(video, ds)
+func (r remote) ScanCursor(ctx context.Context, q tasm.Query) (api.Cursor[tasm.RegionResult], error) {
+	return api.Lift[tasm.RegionResult](r.Client.ScanCursor(ctx, q))
 }
 
-func (l localBackend) MarkDetectedContext(ctx context.Context, video, label string, from, to int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.MarkDetected(video, label, from, to)
+func (r remote) DecodeFramesCursor(ctx context.Context, video string, from, to int) (api.Cursor[tasm.FrameResult], error) {
+	return api.Lift[tasm.FrameResult](r.Client.DecodeFramesCursor(ctx, video, from, to))
 }
 
-func (l localBackend) VideosContext(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.Videos()
+func (r remote) Subscribe(ctx context.Context, video string, from int) (api.Cursor[tasm.FrameResult], error) {
+	return api.Lift[tasm.FrameResult](r.Client.Subscribe(ctx, video, from))
 }
 
-func (l localBackend) MetaContext(ctx context.Context, video string) (tasm.VideoMeta, error) {
-	if err := ctx.Err(); err != nil {
-		return tasm.VideoMeta{}, err
+func (r remote) StatsContext(ctx context.Context) (rpcwire.ShardedCacheStats, error) {
+	st, shards, err := r.ShardCacheStats(ctx)
+	out := rpcwire.ShardedCacheStats{CacheStats: rpcwire.FromCacheStats(st)}
+	for _, s := range shards {
+		out.Shards = append(out.Shards, rpcwire.ShardCacheStats{
+			Shard: s.Shard, Addr: s.Addr, Healthy: s.Healthy, Error: s.Err, Stats: rpcwire.FromCacheStats(s.Stats)})
 	}
-	return l.Meta(video)
-}
-
-func (l localBackend) VideoInfoContext(ctx context.Context, video string) (tasm.VideoMeta, int64, []string, error) {
-	meta, err := l.MetaContext(ctx, video)
-	if err != nil {
-		return tasm.VideoMeta{}, 0, nil, err
-	}
-	bytes, err := l.VideoBytes(video)
-	if err != nil {
-		return tasm.VideoMeta{}, 0, nil, err
-	}
-	labels, err := l.Labels(video)
-	return meta, bytes, labels, err
-}
-
-func (l localBackend) DesignLayoutContext(ctx context.Context, video string, sotID int, labels []string) (tasm.Layout, error) {
-	if err := ctx.Err(); err != nil {
-		return tasm.Layout{}, err
-	}
-	return l.DesignLayout(video, sotID, labels)
-}
-
-func (l localBackend) GCContext(ctx context.Context) (tasm.GCReport, error) {
-	// The sweep itself is atomic under the store lock; honor a signal
-	// that arrived before it started rather than beginning new work.
-	if err := ctx.Err(); err != nil {
-		return tasm.GCReport{}, err
-	}
-	return l.GC()
-}
-
-func (l localBackend) FSCKContext(ctx context.Context) (tasm.FsckReport, error) {
-	if err := ctx.Err(); err != nil {
-		return tasm.FsckReport{}, err
-	}
-	return l.FSCK()
-}
-
-func (l localBackend) RepairPointersContext(ctx context.Context, video string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.RepairPointers(video)
-}
-
-func (l localBackend) CacheStatsContext(ctx context.Context) (tasm.CacheStats, error) {
-	if err := ctx.Err(); err != nil {
-		return tasm.CacheStats{}, err
-	}
-	return l.CacheStats(), nil
-}
-
-func (l localBackend) AutotileStatusContext(ctx context.Context) (tasm.AutotileStatus, error) {
-	if err := ctx.Err(); err != nil {
-		return tasm.AutotileStatus{}, err
-	}
-	return l.AutotileStatus(), nil
-}
-
-func (l localBackend) AutotilePauseContext(ctx context.Context, reason string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.AutotilePause(reason)
-}
-
-func (l localBackend) AutotileResumeContext(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.AutotileResume()
-}
-
-func (l localBackend) CreateLiveContext(ctx context.Context, video string, w, h, fps int, pol *tasm.RetentionPolicy) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.CreateLiveVideo(video, w, h, fps, pol)
-}
-
-func (l localBackend) AppendContext(ctx context.Context, video string, frames []*tasm.Frame) (tasm.AppendStats, error) {
-	return l.AppendGOPContext(ctx, video, frames)
-}
-
-func (l localBackend) SealContext(ctx context.Context, video string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.SealVideo(video)
-}
-
-func (l localBackend) SetRetentionContext(ctx context.Context, video string, pol *tasm.RetentionPolicy) (tasm.TrimReport, error) {
-	if err := ctx.Err(); err != nil {
-		return tasm.TrimReport{}, err
-	}
-	return l.SetRetention(video, pol)
+	return out, err
 }
 
 // connFlags is the connection contract every subcommand shares:
@@ -559,7 +427,11 @@ func (cf connFlags) openBackend(dir string, opts ...tasm.Option) (backend, error
 			}
 			copts = append(copts, client.WithClientCert(cert))
 		}
-		return client.New(*cf.addr, copts...)
+		c, err := client.New(*cf.addr, copts...)
+		if err != nil {
+			return nil, err
+		}
+		return remote{c}, nil
 	}
 	if *cf.force {
 		opts = append(opts, tasm.WithForceOpen())
@@ -569,7 +441,7 @@ func (cf connFlags) openBackend(dir string, opts ...tasm.Option) (backend, error
 	if err != nil {
 		return nil, err
 	}
-	return localBackend{sm}, nil
+	return server.Local{StorageManager: sm}, nil
 }
 
 // addrFlag registers the per-subcommand connection flags (defaulting
@@ -739,7 +611,8 @@ func cmdQuery(ctx context.Context, args []string) error {
 	// Pre-parse with the same parser both the local manager and the
 	// server use, so a SQL typo exits 3 identically in both modes
 	// (locally the parse error wraps no sentinel and would fall to 1).
-	if _, err := tasm.ParseQuery(fs.Arg(0)); err != nil {
+	q, err := tasm.ParseQuery(fs.Arg(0))
+	if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	var opts []tasm.Option
@@ -751,10 +624,19 @@ func cmdQuery(ctx context.Context, args []string) error {
 		return err
 	}
 	defer b.Close()
-	res, st, err := b.ScanSQLContext(ctx, fs.Arg(0))
+	cur, err := b.ScanCursor(ctx, q)
 	if err != nil {
 		return err
 	}
+	defer cur.Close()
+	var res []tasm.RegionResult
+	for cur.Next() {
+		res = append(res, cur.Result())
+	}
+	if err := cur.Err(); err != nil {
+		return err
+	}
+	st := cur.Stats()
 	fmt.Printf("regions: %d  frames touched: %d  SOTs: %d\n", len(res), countFrames(res), st.SOTsTouched)
 	fmt.Printf("decode: %s (%d tiles, %d frames, %.2f Mpx)  assemble: %s  index: %s\n",
 		st.DecodeWall.Round(1e4), st.TilesDecoded, st.FramesDecoded,
@@ -786,27 +668,23 @@ func cmdStats(ctx context.Context, args []string) error {
 		return err
 	}
 	defer b.Close()
-	var st tasm.CacheStats
-	var shards []client.ShardStats
-	if rc, ok := b.(*client.Client); ok {
-		// Against a tasm-router the response carries a per-shard
-		// breakdown; against a plain tasmd the shard list is empty and
-		// only the totals print. One code path serves both.
-		if st, shards, err = rc.ShardCacheStats(ctx); err != nil {
-			return err
-		}
-	} else if st, err = b.CacheStatsContext(ctx); err != nil {
+	// Against a tasm-router the stats carry a per-shard breakdown;
+	// against a plain tasmd or a local store the shard list is empty
+	// and only the totals print. One code path serves all three.
+	sharded, err := b.StatsContext(ctx)
+	if err != nil {
 		return err
 	}
+	st, shards := sharded.ToCacheStats(), sharded.Shards
 	if *asJSON {
 		out := struct {
 			Totals tasm.CacheStats  `json:"totals"`
 			Shards []statsShardJSON `json:"shards,omitempty"`
 		}{Totals: st}
 		for _, s := range shards {
-			row := statsShardJSON{Shard: s.Shard, Addr: s.Addr, Healthy: s.Healthy, Error: s.Err}
-			if s.Err == "" {
-				stats := s.Stats
+			row := statsShardJSON{Shard: s.Shard, Addr: s.Addr, Healthy: s.Healthy, Error: s.Error}
+			if s.Error == "" {
+				stats := s.Stats.ToCacheStats()
 				row.Stats = &stats
 			}
 			out.Shards = append(out.Shards, row)
@@ -820,8 +698,8 @@ func cmdStats(ctx context.Context, args []string) error {
 		if !s.Healthy {
 			health = "DOWN"
 		}
-		if s.Err != "" {
-			fmt.Printf("shard %-12s %-21s %-4s unreachable: %s\n", s.Shard, s.Addr, health, s.Err)
+		if s.Error != "" {
+			fmt.Printf("shard %-12s %-21s %-4s unreachable: %s\n", s.Shard, s.Addr, health, s.Error)
 			continue
 		}
 		fmt.Printf("shard %-12s %-21s %-4s hits %d  misses %d  evictions %d  cached %d B in %d entries\n",
@@ -868,7 +746,7 @@ func cmdTrace(ctx context.Context, args []string) error {
 		return err
 	}
 	defer b.Close()
-	raw, err := b.(*client.Client).TraceContext(ctx, fs.Arg(0))
+	raw, err := b.(remote).TraceContext(ctx, fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -1067,7 +945,7 @@ func cmdInfo(ctx context.Context, args []string) error {
 		}
 		return nil
 	}
-	meta, err := b.MetaContext(ctx, *video)
+	meta, _, _, err := b.VideoInfoContext(ctx, *video)
 	if err != nil {
 		return err
 	}
@@ -1301,24 +1179,9 @@ func cmdSubscribe(ctx context.Context, args []string) error {
 		return err
 	}
 	defer b.Close()
-	// The two backends return distinct concrete cursors; both satisfy
-	// tailCursor.
-	var cur tailCursor
-	switch be := b.(type) {
-	case *client.Client:
-		c, err := be.Subscribe(ctx, *video, *from)
-		if err != nil {
-			return err
-		}
-		cur = c
-	case localBackend:
-		c, err := be.Subscribe(ctx, *video, *from)
-		if err != nil {
-			return err
-		}
-		cur = c
-	default:
-		return fmt.Errorf("subscribe: unsupported backend %T", b)
+	cur, err := b.Subscribe(ctx, *video, *from)
+	if err != nil {
+		return err
 	}
 	defer cur.Close()
 	n := 0

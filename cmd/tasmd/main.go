@@ -2,7 +2,9 @@
 // operations (ingest, retile, delete, gc, fsck, catalog, stats) as
 // JSON endpoints and Scan/ScanSQL/DecodeFrames as NDJSON streams that
 // flush per result — the network face of the storage manager, speaking
-// the wire contract in internal/rpcwire.
+// the wire contract in internal/rpcwire. The surface itself is the one
+// handler set in internal/api; tasmd is that set over the local store
+// (internal/server's Backend adapter) behind the tenant gate.
 //
 // Usage:
 //

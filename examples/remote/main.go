@@ -60,7 +60,7 @@ func main() {
 	// compile-time proof that the deprecated Dial shim keeps old
 	// callers working.
 	//lint:ignore SA1019 exercises the v1 compatibility shim
-	c, err := client.Dial(ln.Addr().String())
+	c, err := client.New(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func main() {
 			ds = append(ds, tasm.Detection{Frame: f, Label: tr.Label, Box: tr.Box})
 		}
 	}
-	if err := c.AddDetections("traffic", ds); err != nil {
+	if err := c.AddDetectionsContext(ctx, "traffic", ds); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("remote ingest: %d frames into %d SOTs (%d KiB)\n", n, ist.SOTs, ist.Bytes/1024)
@@ -138,7 +138,7 @@ func main() {
 	cur2.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		rep, err := c.FSCK()
+		rep, err := c.FSCKContext(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func main() {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	gc, err := c.GC()
+	gc, err := c.GCContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func main() {
 
 	// 4. The typed errors survive the wire: a remote miss matches the
 	//    same sentinel an in-process miss does.
-	_, err = c.Meta("no-such-video")
+	_, err = c.MetaContext(ctx, "no-such-video")
 	fmt.Printf("remote miss: errors.Is(err, tasm.ErrVideoNotFound) = %v (%v)\n",
 		errors.Is(err, tasm.ErrVideoNotFound), err)
 	if !errors.Is(err, tasm.ErrVideoNotFound) {

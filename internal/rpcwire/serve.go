@@ -1,11 +1,7 @@
-// Serving-side helpers shared by every process that speaks this wire
-// format from the server end — tasmd (internal/server) and tasm-router
-// (internal/shard). They were extracted from the tasmd handler stack
-// when the router grew the same HTTP surface: both daemons must parse
-// the same per-request headers, emit the same unary error envelope, and
-// drain cursors through the same stream framing with the same trailer
-// contract, or the "client/ and tasmctl work against either unchanged"
-// promise quietly rots.
+// Serving-side half of the wire format, used by the one handler set in
+// internal/api: parsing the per-request headers into the operation
+// context, the unary JSON and error-envelope writers, and the stream
+// framing with its trailer contract.
 
 package rpcwire
 
@@ -46,26 +42,6 @@ func RequestContext(r *http.Request) (ctx context.Context, cancel context.Cancel
 	}
 	ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 	return ctx, cancel, nil
-}
-
-// UnaryBoundary enforces the request context on unary operations whose
-// underlying forms take no context: the Tasm-Deadline-Ms header and a
-// client disconnect are honored at the operation's start boundary — an
-// already-dead request is answered with its context error instead of
-// doing the work for a caller that is gone. It reports false after
-// writing the error response.
-func UnaryBoundary(w http.ResponseWriter, r *http.Request) bool {
-	ctx, cancel, err := RequestContext(r)
-	if err != nil {
-		WriteError(w, err)
-		return false
-	}
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		WriteError(w, fmt.Errorf("server: %w", err))
-		return false
-	}
-	return true
 }
 
 // ReadJSON decodes a request body, classifying malformed input as

@@ -17,6 +17,7 @@ import (
 	"os"
 	"strings"
 
+	"github.com/tasm-repro/tasm/internal/obs"
 	"github.com/tasm-repro/tasm/internal/rpcwire"
 )
 
@@ -55,6 +56,36 @@ func ParseTokenFile(path string) (map[string]string, error) {
 		return nil, fmt.Errorf("server: token file %s holds no tokens", path)
 	}
 	return tenants, nil
+}
+
+// Admit is the api.Gate in front of the route table: authenticate, then
+// take the admission slots, each timed as its own span on the request
+// trace. A known tenant over its quota is still named, so its 503 is
+// counted against it.
+func (s *Server) Admit(r *http.Request) (tenant string, release func(), err error) {
+	tr := obs.FromContext(r.Context())
+	endAuth := tr.StartSpan("auth")
+	tenant, err = s.authenticate(r)
+	endAuth()
+	if err != nil {
+		return "", nil, err
+	}
+	endAdmit := tr.StartSpan("admit")
+	release, err = s.admit(tenant)
+	endAdmit()
+	return tenant, release, err
+}
+
+// Observe keeps the per-tenant serving counters ("-" is the anonymous
+// tenant of an open daemon, and of requests refused before a tenant
+// was known).
+func (s *Server) Observe(tenant string, status int, bytes int64) {
+	s.requests.With(tenant).Inc()
+	s.bytes.With(tenant).Add(bytes)
+	rejected := s.rejected.With(tenant) // touch so the series renders alongside requests_total
+	if status == http.StatusServiceUnavailable {
+		rejected.Inc()
+	}
 }
 
 // authenticate resolves the request's tenant against the live tenant

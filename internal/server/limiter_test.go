@@ -58,30 +58,3 @@ func TestLimiterRejectsWhenFull(t *testing.T) {
 		t.Fatalf("after freeing a slot: %d", rec.Code)
 	}
 }
-
-// TestPanicRecovery: a panicking handler becomes a logged 500 envelope,
-// not a dead daemon.
-func TestPanicRecovery(t *testing.T) {
-	sm, err := tasm.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sm.Close()
-	h := New(sm, Config{})
-	h.mux.HandleFunc("GET /v1/boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/boom", nil))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", rec.Code)
-	}
-	var envelope struct {
-		Error rpcwire.ErrorBody `json:"error"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
-	}
-	if envelope.Error.Code != "internal" {
-		t.Fatalf("code %q", envelope.Error.Code)
-	}
-}

@@ -1,56 +1,25 @@
 package server
 
-// Observability: the metrics registry behind /metrics, the request
-// trace ring behind /v1/trace/{id}, structured JSON access and
-// slow-query logs. The serving counters that predate the registry
-// (tasm_requests_total & co.) keep their exact names and label shapes —
-// dashboards and the CI greps depend on them — they just render through
-// the registry now, which refuses any series without a HELP line.
+// The series tasmd adds to the shared surface's /metrics registry: the
+// gate's per-tenant serving counters, and the store and autotile series
+// their subsystems own. The names and label shapes predate the registry
+// (tasm_requests_total & co.) and are fixed — dashboards and the CI
+// greps depend on them.
 
 import (
-	"fmt"
-	"net/http"
-
 	"github.com/tasm-repro/tasm"
 	"github.com/tasm-repro/tasm/internal/obs"
-	"github.com/tasm-repro/tasm/internal/rpcwire"
 )
 
-// metrics is every registered series the handler stack updates.
-type metrics struct {
-	reg      *obs.Registry
-	requests *obs.CounterVec   // {tenant}
-	rejected *obs.CounterVec   // {tenant}
-	bytes    *obs.CounterVec   // {tenant}
-	panics   *obs.CounterVec   // unlabeled
-	slow     *obs.CounterVec   // {endpoint}
-	reqWall  *obs.HistogramVec // {endpoint, tenant} seconds
-	reqTTFR  *obs.HistogramVec // {endpoint, tenant} seconds
-	respSize *obs.HistogramVec // {endpoint, tenant} bytes
+func (s *Server) registerTenantSeries(reg *obs.Registry) {
+	s.requests = reg.NewCounterVec("tasm_requests_total", `Responses sent, by tenant ("-" is unauthenticated).`, "tenant")
+	s.rejected = reg.NewCounterVec("tasm_requests_rejected_total", "503 overloaded rejections, by tenant.", "tenant")
+	s.bytes = reg.NewCounterVec("tasm_response_bytes_total", "Response body bytes written, by tenant.", "tenant")
 }
 
-func newMetrics(sm *tasm.StorageManager) *metrics {
-	reg := obs.NewRegistry()
-	m := &metrics{
-		reg:      reg,
-		requests: reg.NewCounterVec("tasm_requests_total", `Responses sent, by tenant ("-" is unauthenticated).`, "tenant"),
-		rejected: reg.NewCounterVec("tasm_requests_rejected_total", "503 overloaded rejections, by tenant.", "tenant"),
-		bytes:    reg.NewCounterVec("tasm_response_bytes_total", "Response body bytes written, by tenant.", "tenant"),
-		panics:   reg.NewCounterVec("tasm_request_panics_total", "Handler panics recovered into 500 responses."),
-		slow:     reg.NewCounterVec("tasm_slow_queries_total", "Requests at or above -slow-query-threshold, by endpoint.", "endpoint"),
-		reqWall: reg.NewHistogramVec("tasm_request_seconds",
-			"Request wall time from arrival to last byte, by endpoint and tenant.",
-			obs.DefaultLatencyBuckets, "endpoint", "tenant"),
-		reqTTFR: reg.NewHistogramVec("tasm_request_ttfr_seconds",
-			"Time to first response byte (streaming endpoints: first result), by endpoint and tenant.",
-			obs.DefaultLatencyBuckets, "endpoint", "tenant"),
-		respSize: reg.NewHistogramVec("tasm_response_size_bytes",
-			"Response body size, by endpoint and tenant.",
-			obs.DefaultSizeBuckets, "endpoint", "tenant"),
-	}
-
-	// Store and autotile series are owned by their subsystems and read
-	// at scrape time.
+// registerStoreSeries adds the store and autotile series, read from
+// their subsystems at scrape time.
+func registerStoreSeries(reg *obs.Registry, sm *tasm.StorageManager) {
 	b01 := func(v bool) float64 {
 		if v {
 			return 1
@@ -84,18 +53,4 @@ func newMetrics(sm *tasm.StorageManager) *metrics {
 	reg.NewGaugeFunc("tasm_autotile_regret",
 		"Accumulated re-tiling pressure in model seconds (paper section 4.4 delta).",
 		func() float64 { return sm.AutotileStatus().Regret })
-	return m
-}
-
-// handleTrace serves one finished request's span timeline from the
-// ring. A miss is trace_not_found/404: the ring holds only the most
-// recent requests, and in-flight requests are inserted at completion.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.traces.Get(id)
-	if !ok {
-		writeError(w, fmt.Errorf("%w: id %q is not among the most recent finished requests", rpcwire.ErrTraceNotFound, id))
-		return
-	}
-	writeJSON(w, rec)
 }

@@ -69,7 +69,7 @@ func metricValue(t *testing.T, url, token, prefix string) (int64, bool) {
 // behind auth like everything but the health probe.
 func TestMetricsEndpoint(t *testing.T) {
 	h := newHarness(t, server.Config{})
-	if _, err := h.c.Videos(); err != nil {
+	if _, err := h.c.VideosContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if n, ok := metricValue(t, h.ts.URL, "", `tasm_requests_total{tenant="-"}`); !ok || n < 1 {
@@ -96,12 +96,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// Counters record when a request finishes, so give ops a completed
 	// request before scraping (the scrape itself is still in flight).
-	opsClient, err := client.Dial(h2.ts.URL, client.WithToken("sek"))
+	opsClient, err := client.New(h2.ts.URL, client.WithToken("sek"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer opsClient.Close()
-	if _, err := opsClient.Videos(); err != nil {
+	if _, err := opsClient.VideosContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if n, ok := metricValue(t, h2.ts.URL, "sek", `tasm_requests_total{tenant="ops"}`); !ok || n < 1 {
@@ -123,7 +123,7 @@ func TestTokenReloadKeepsInflightStreams(t *testing.T) {
 		t.Fatal("reference scan returned nothing")
 	}
 
-	old, err := client.Dial(h.ts.URL, client.WithToken("tok-old"))
+	old, err := client.New(h.ts.URL, client.WithToken("tok-old"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +142,16 @@ func TestTokenReloadKeepsInflightStreams(t *testing.T) {
 	h.srv.SetTenants(map[string]string{"tok-new": "alpha"})
 
 	// New request with the revoked token is refused...
-	if _, err := old.Videos(); !errors.Is(err, client.ErrUnauthorized) {
+	if _, err := old.VideosContext(context.Background()); !errors.Is(err, client.ErrUnauthorized) {
 		t.Fatalf("revoked token accepted for a new request: %v", err)
 	}
 	// ...the rotated token works...
-	fresh, err := client.Dial(h.ts.URL, client.WithToken("tok-new"))
+	fresh, err := client.New(h.ts.URL, client.WithToken("tok-new"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if _, err := fresh.Videos(); err != nil {
+	if _, err := fresh.VideosContext(context.Background()); err != nil {
 		t.Fatalf("rotated token refused: %v", err)
 	}
 	// ...and the in-flight stream still drains completely.
@@ -195,7 +195,7 @@ func TestCorruptTileOverHTTP(t *testing.T) {
 		t.Fatalf("tasm_store_corrupt_tiles_total = %d, %v, want > 0", n, ok)
 	}
 
-	rep, err := h.c.RepairStore()
+	rep, err := h.c.RepairStoreContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestCorruptTileOverHTTP(t *testing.T) {
 	if len(rep.Reverted) != 0 {
 		t.Fatalf("reverted %v with no intact fallback", rep.Reverted)
 	}
-	fr, err := h.c.FSCK()
+	fr, err := h.c.FSCKContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
-// Package server is tasmd's HTTP front end: an http.Handler exposing a
-// *tasm.StorageManager over the versioned JSON wire format in
-// internal/rpcwire.
+// Package server is tasmd's HTTP front end: the shared handler set
+// (internal/api — the one route table and middleware stack tasm-router
+// serves too) over the local Backend (local.go, an adapter from
+// *tasm.StorageManager to the context-first api.Backend), behind the
+// tenant gate (auth.go). What tasmd adds to the shared surface is only
+// that gate and the store's own /metrics series.
 //
 // Unary operations (ingest, retile, delete, gc, fsck, catalog reads,
 // metadata writes) are plain request/response JSON. The read paths that
@@ -10,38 +13,30 @@
 // consumer's time-to-first-byte inherits the cursor pipeline's
 // time-to-first-result instead of waiting for full materialization.
 //
-// Request contexts do real work here. Every handler derives its
-// operation context from the request context, so a client disconnect
-// cancels the cursor — which stops in-flight decodes and releases every
-// read lease before teardown completes (the PR-3 guarantee). The
-// Tasm-Deadline-Ms header bounds the whole operation server-side with a
-// context deadline, mapped back to the client as deadline_exceeded/504.
+// Request contexts do real work here. Every route derives its operation
+// context from the request context, so a client disconnect cancels the
+// cursor — which stops in-flight decodes and releases every read lease
+// before teardown completes (the PR-3 guarantee). The Tasm-Deadline-Ms
+// header bounds the whole operation server-side with a context
+// deadline, mapped back to the client as deadline_exceeded/504.
 //
 // The handler stack adds, outermost first: panic recovery (a handler
-// bug becomes a logged 500, not a dead daemon), a concurrent-request
-// limiter (excess load is rejected early with overloaded/503 rather
-// than queued into memory), and per-request access logs.
+// bug becomes a logged 500, not a dead daemon), the gate — bearer-token
+// authentication, then a concurrent-request limiter (excess load is
+// rejected early with overloaded/503 rather than queued into memory) —
+// and per-request access logs.
 package server
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"io"
 	"log"
-	"net/http"
-	"runtime/debug"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/tasm-repro/tasm"
-	"github.com/tasm-repro/tasm/internal/core"
+	"github.com/tasm-repro/tasm/internal/api"
 	"github.com/tasm-repro/tasm/internal/obs"
-	"github.com/tasm-repro/tasm/internal/rpcwire"
-	"github.com/tasm-repro/tasm/internal/shard"
 )
 
 // Config tunes the handler stack.
@@ -121,52 +116,32 @@ func New(sm *tasm.StorageManager, cfg Config) *Server {
 		cfg.TenantMaxInflight = cfg.MaxInflight
 	}
 	s := &Server{
-		sm:             sm,
 		cfg:            cfg,
 		inflight:       make(chan struct{}, cfg.MaxInflight),
 		tenantInflight: make(map[string]chan struct{}),
-		metrics:        newMetrics(sm),
-		traces:         obs.NewTraceStore(cfg.TraceCapacity),
 	}
 	s.SetTenants(cfg.Tenants)
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/videos", s.handleVideos)
-	mux.HandleFunc("GET /v1/videos/{video}", s.handleVideoInfo)
-	mux.HandleFunc("DELETE /v1/videos/{video}", s.handleDeleteVideo)
-	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	mux.HandleFunc("POST /v1/live", s.handleCreateLive)
-	mux.HandleFunc("POST /v1/append", s.handleAppend)
-	mux.HandleFunc("GET /v1/subscribe", s.handleSubscribe)
-	mux.HandleFunc("POST /v1/seal", s.handleSeal)
-	mux.HandleFunc("POST /v1/retention", s.handleRetention)
-	mux.HandleFunc("POST /v1/metadata", s.handleMetadata)
-	mux.HandleFunc("POST /v1/markdetected", s.handleMarkDetected)
-	mux.HandleFunc("GET /v1/detections", s.handleDetections)
-	mux.HandleFunc("POST /v1/scan", s.handleScan)
-	mux.HandleFunc("POST /v1/decodeframes", s.handleDecodeFrames)
-	mux.HandleFunc("POST /v1/retile", s.handleRetile)
-	mux.HandleFunc("POST /v1/designlayout", s.handleDesignLayout)
-	mux.HandleFunc("POST /v1/gc", s.handleGC)
-	mux.HandleFunc("POST /v1/fsck", s.handleFsck)
-	mux.HandleFunc("POST /v1/repair", s.handleRepair)
-	mux.HandleFunc("POST /v1/repairstore", s.handleRepairStore)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
-	mux.HandleFunc("GET /v1/autotile/status", s.handleAutotileStatus)
-	mux.HandleFunc("POST /v1/autotile/pause", s.handleAutotilePause)
-	mux.HandleFunc("POST /v1/autotile/resume", s.handleAutotileResume)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux = mux
+	reg := obs.NewRegistry()
+	s.registerTenantSeries(reg)
+	s.Handler = api.New(Local{sm}, api.Config{
+		Logger:             cfg.Logger,
+		AccessLogger:       cfg.AccessLogger,
+		MaxBodyBytes:       cfg.MaxBodyBytes,
+		SlowQueryThreshold: cfg.SlowQueryThreshold,
+		TraceCapacity:      cfg.TraceCapacity,
+		Registry:           reg,
+		MetricsPrefix:      "tasm",
+		Gate:               s,
+	})
+	registerStoreSeries(reg, sm)
 	return s
 }
 
-// Server is the tasmd handler plus its runtime controls.
+// Server is the tasmd handler — the shared surface over the local
+// store — plus the tenant gate in front of it and its runtime controls.
 type Server struct {
-	sm       *tasm.StorageManager
+	*api.Handler
 	cfg      Config
-	mux      *http.ServeMux
 	inflight chan struct{}
 
 	// tenants is the live token→tenant table, swapped atomically by
@@ -181,9 +156,8 @@ type Server struct {
 	tenantMu       sync.Mutex
 	tenantInflight map[string]chan struct{}
 
-	// metrics is the /metrics registry; traces the /v1/trace/{id} ring.
-	metrics *metrics
-	traces  *obs.TraceStore
+	// The gate's per-tenant serving counters.
+	requests, rejected, bytes *obs.CounterVec
 }
 
 // SetTenants atomically replaces the token→tenant table (nil or empty
@@ -193,727 +167,3 @@ type Server struct {
 func (s *Server) SetTenants(tenants map[string]string) {
 	s.tenants.Store(&tenants)
 }
-
-// ServeHTTP is the middleware stack: recover → trace → authenticate →
-// limit (global, then tenant quota) → log/observe → route.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	lw := &logWriter{ResponseWriter: w}
-	start := time.Now()
-	tenant := "-"
-
-	// Adopt the caller's trace id (the client mints one per operation;
-	// the router forwards its inbound id) or mint one here so every
-	// request is traceable. The id is echoed on the response before any
-	// handler runs, and the trace itself travels the request context
-	// down into the cursor pipeline.
-	tid := r.Header.Get(obs.TraceHeader)
-	if !obs.ValidTraceID(tid) {
-		tid = obs.NewTraceID()
-	}
-	tr := obs.NewTrace(tid)
-	tr.Annotate("method", r.Method)
-	tr.Annotate("path", r.URL.Path)
-	lw.Header().Set(obs.TraceHeader, tid)
-	r = r.WithContext(obs.WithTrace(r.Context(), tr))
-
-	defer func() {
-		if p := recover(); p != nil {
-			s.metrics.panics.With().Inc()
-			s.cfg.Logger.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
-			if !lw.wrote {
-				writeError(lw, fmt.Errorf("internal panic: %v", p))
-			}
-		}
-		// r.Pattern is filled in by the mux; requests that never
-		// reached it (auth/limiter rejections) or matched nothing
-		// group under synthetic endpoint labels so the histograms
-		// stay low-cardinality.
-		endpoint := r.Pattern
-		if endpoint == "" {
-			endpoint = "unmatched"
-		}
-		dur := time.Since(start)
-		status := lw.status()
-		m := s.metrics
-		m.requests.With(tenant).Inc()
-		m.bytes.With(tenant).Add(lw.bytes)
-		rejected := m.rejected.With(tenant) // touch so the series renders alongside requests_total
-		if status == http.StatusServiceUnavailable {
-			rejected.Inc()
-		}
-		m.reqWall.With(endpoint, tenant).Observe(dur.Seconds())
-		var ttfr time.Duration
-		if !lw.firstWrite.IsZero() {
-			ttfr = lw.firstWrite.Sub(start)
-			m.reqTTFR.With(endpoint, tenant).Observe(ttfr.Seconds())
-		}
-		m.respSize.With(endpoint, tenant).Observe(float64(lw.bytes))
-
-		tr.Annotate("tenant", tenant)
-		tr.Annotate("endpoint", endpoint)
-		tr.Annotate("status", strconv.Itoa(status))
-		s.traces.Put(tr.Snapshot())
-
-		rec := obs.AccessRecord{
-			Level:    "access",
-			TraceID:  tid,
-			Method:   r.Method,
-			Path:     r.URL.Path,
-			Endpoint: endpoint,
-			Status:   status,
-			Bytes:    lw.bytes,
-			DurMS:    obs.Msec(dur),
-			TTFRMS:   obs.Msec(ttfr),
-			Remote:   r.RemoteAddr,
-			Tenant:   tenant,
-		}
-		s.cfg.AccessLogger.Print(rec.Line())
-		if thr := s.cfg.SlowQueryThreshold; thr > 0 && dur >= thr {
-			m.slow.With(endpoint).Inc()
-			rec.Level = "slow_query"
-			rec.ThresholdMS = obs.Msec(thr)
-			s.cfg.Logger.Print(rec.Line())
-		}
-	}()
-
-	// Health checks bypass auth and the limiter: an overloaded or
-	// locked-down daemon is still alive, and the probe must say so.
-	if r.URL.Path == "/v1/healthz" {
-		s.mux.ServeHTTP(lw, r)
-		return
-	}
-	endAuth := tr.StartSpan("auth")
-	tn, err := s.authenticate(r)
-	endAuth()
-	if err != nil {
-		writeError(lw, err)
-		return
-	}
-	if tn != "" {
-		tenant = tn
-	}
-	endAdmit := tr.StartSpan("admit")
-	release, err := s.admit(tn)
-	endAdmit()
-	if err != nil {
-		// The limiter's politeness contract: a 503 carries both the
-		// canonical envelope (typed, retryable client-side) and a
-		// Retry-After the client's backoff honors.
-		lw.Header().Set("Retry-After", "1")
-		writeError(lw, err)
-		return
-	}
-	defer release()
-	r.Body = http.MaxBytesReader(lw, r.Body, s.cfg.MaxBodyBytes)
-	endHandle := tr.StartSpan("handle")
-	s.mux.ServeHTTP(lw, r)
-	endHandle()
-}
-
-// logWriter captures status, byte counts, and the first-body-byte time
-// (TTFR: for streaming endpoints the header is committed before the
-// first decode, so the first Write is the first result) for the access
-// log and histograms, and keeps http.Flusher reachable through the
-// wrap (the streaming endpoints depend on per-line flushes).
-type logWriter struct {
-	http.ResponseWriter
-	code       int
-	bytes      int64
-	wrote      bool
-	firstWrite time.Time
-}
-
-func (w *logWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.wrote, w.code = true, code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *logWriter) Write(p []byte) (int, error) {
-	if !w.wrote {
-		w.wrote, w.code = true, http.StatusOK
-	}
-	if w.firstWrite.IsZero() {
-		w.firstWrite = time.Now()
-	}
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-func (w *logWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (w *logWriter) status() int {
-	if !w.wrote {
-		return http.StatusOK
-	}
-	return w.code
-}
-
-// The request-context parsing, error/JSON writers, and stream framing
-// live in rpcwire (serve.go), shared with tasm-router so both daemons
-// present the identical HTTP surface; these aliases keep the handler
-// bodies terse.
-
-func requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	return rpcwire.RequestContext(r)
-}
-
-func unaryBoundary(w http.ResponseWriter, r *http.Request) bool { return rpcwire.UnaryBoundary(w, r) }
-
-func readJSON(r *http.Request, v any) error { return rpcwire.ReadJSON(r, v) }
-
-func writeJSON(w http.ResponseWriter, v any) { rpcwire.WriteJSON(w, v) }
-
-func writeError(w http.ResponseWriter, err error) { rpcwire.WriteError(w, err) }
-
-// ---- unary handlers ----
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, struct {
-		OK bool `json:"ok"`
-	}{true})
-}
-
-func (s *Server) handleVideos(w http.ResponseWriter, r *http.Request) {
-	videos, err := s.sm.Videos()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, rpcwire.VideosResponse{Videos: videos})
-}
-
-func (s *Server) handleVideoInfo(w http.ResponseWriter, r *http.Request) {
-	if !unaryBoundary(w, r) {
-		return
-	}
-	video := r.PathValue("video")
-	meta, err := s.sm.Meta(video)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	bytes, err := s.sm.VideoBytes(video)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	labels, err := s.sm.Labels(video)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, rpcwire.VideoInfo{Meta: meta, Bytes: bytes, Labels: labels})
-}
-
-func (s *Server) handleDeleteVideo(w http.ResponseWriter, r *http.Request) {
-	if !unaryBoundary(w, r) {
-		return
-	}
-	if err := s.sm.DeleteVideo(r.PathValue("video")); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.IngestRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cancel()
-	frames := make([]*tasm.Frame, len(req.Frames))
-	for i, wf := range req.Frames {
-		if frames[i], err = wf.ToFrame(); err != nil {
-			writeError(w, fmt.Errorf("frame %d: %w", i, err))
-			return
-		}
-	}
-	var st tasm.IngestStats
-	if len(req.Layouts) > 0 {
-		layouts := make([]tasm.Layout, len(req.Layouts))
-		for i, wl := range req.Layouts {
-			layouts[i] = wl.ToLayout()
-		}
-		st, err = s.sm.IngestTiledContext(ctx, req.Video, frames, req.FPS, layouts)
-	} else {
-		st, err = s.sm.IngestContext(ctx, req.Video, frames, req.FPS)
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, rpcwire.FromIngestStats(st))
-}
-
-// ---- live ingest handlers ----
-
-func (s *Server) handleCreateLive(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.CreateLiveRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !unaryBoundary(w, r) {
-		return
-	}
-	if err := s.sm.CreateLiveVideo(req.Video, req.W, req.H, req.FPS, req.Retention.ToRetentionPolicy()); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-// handleAppend appends a batch of frames to a live video. The body is
-// either the v2 binary framing (Content-Type application/x-tasm-frames:
-// a TASMFRM2 stream of 'F' records, the video named by ?video=) or the
-// JSON AppendRequest fallback. A full commit queue answers 429 with
-// Retry-After — the client's signal to back off and retry, nothing
-// having been written.
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cancel()
-	var video string
-	var frames []*tasm.Frame
-	if strings.HasPrefix(r.Header.Get("Content-Type"), rpcwire.ContentTypeBinary) {
-		video = r.URL.Query().Get("video")
-		if video == "" {
-			writeError(w, fmt.Errorf("%w: binary append needs ?video=", rpcwire.ErrBadRequest))
-			return
-		}
-		fr := rpcwire.NewFrameStreamReader(r.Body)
-		for {
-			line, rerr := fr.ReadLine()
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				writeError(w, fmt.Errorf("%w: append stream: %v", rpcwire.ErrBadRequest, rerr))
-				return
-			}
-			if line.Frame == nil {
-				writeError(w, fmt.Errorf("%w: append stream carries only frame records", rpcwire.ErrBadRequest))
-				return
-			}
-			f, ferr := line.Frame.Pixels.ToFrame()
-			if ferr != nil {
-				writeError(w, fmt.Errorf("frame %d: %w", len(frames), ferr))
-				return
-			}
-			frames = append(frames, f)
-		}
-	} else {
-		var req rpcwire.AppendRequest
-		if err := readJSON(r, &req); err != nil {
-			writeError(w, err)
-			return
-		}
-		video = req.Video
-		frames = make([]*tasm.Frame, len(req.Frames))
-		for i, wf := range req.Frames {
-			if frames[i], err = wf.ToFrame(); err != nil {
-				writeError(w, fmt.Errorf("frame %d: %w", i, err))
-				return
-			}
-		}
-	}
-	st, err := s.sm.AppendGOPContext(ctx, video, frames)
-	if err != nil {
-		if errors.Is(err, tasm.ErrIngestBackpressure) {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, rpcwire.FromAppendStats(st))
-}
-
-// handleSubscribe is the live-tail read path: a long-lived stream of
-// whole frames, in both framings, that begins at ?from= (the client's
-// resume watermark, clamped to the retention horizon), replays every
-// already-committed frame past it, then blocks — flushed up to date —
-// and emits each newly committed SOT's frames as appends land, woken
-// by the commit hub rather than polling. On a sealed video the stream
-// drains and ends with the stats trailer; a deleted video ends it with
-// the video_deleted error trailer.
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	qs := r.URL.Query()
-	video := qs.Get("video")
-	if video == "" {
-		writeError(w, fmt.Errorf("%w: need video", rpcwire.ErrBadRequest))
-		return
-	}
-	from := 0
-	if h := qs.Get("from"); h != "" {
-		v, err := strconv.Atoi(h)
-		if err != nil || v < 0 {
-			writeError(w, fmt.Errorf("%w: from=%q", rpcwire.ErrBadRequest, h))
-			return
-		}
-		from = v
-	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cancel()
-	cur, err := s.sm.Subscribe(ctx, video, from)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cur.Close()
-	rpcwire.ServeStream(w, r, cur, func(c *tasm.SubscribeCursor) rpcwire.StreamLine {
-		return rpcwire.StreamLine{Frame: ptr(rpcwire.FromFrameResult(c.Result()))}
-	})
-}
-
-func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.SealRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !unaryBoundary(w, r) {
-		return
-	}
-	if err := s.sm.SealVideo(req.Video); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-func (s *Server) handleRetention(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.RetentionRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !unaryBoundary(w, r) {
-		return
-	}
-	rep, err := s.sm.SetRetention(req.Video, req.Retention.ToRetentionPolicy())
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, rpcwire.FromTrimReport(rep))
-}
-
-func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.MetadataRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !unaryBoundary(w, r) {
-		return
-	}
-	ds := make([]tasm.Detection, len(req.Detections))
-	for i, d := range req.Detections {
-		ds[i] = d.ToDetection()
-	}
-	if err := s.sm.AddDetections(req.Video, ds); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-func (s *Server) handleMarkDetected(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.MarkDetectedRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := s.sm.MarkDetected(req.Video, req.Label, req.From, req.To); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-func (s *Server) handleDetections(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	video, label := q.Get("video"), q.Get("label")
-	from, err1 := strconv.Atoi(q.Get("from"))
-	to, err2 := strconv.Atoi(q.Get("to"))
-	if video == "" || label == "" || err1 != nil || err2 != nil {
-		writeError(w, fmt.Errorf("%w: need video, label, from, to", rpcwire.ErrBadRequest))
-		return
-	}
-	ds, err := s.sm.LookupDetections(video, label, from, to)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := rpcwire.DetectionsResponse{Detections: make([]rpcwire.Detection, len(ds))}
-	for i, d := range ds {
-		resp.Detections[i] = rpcwire.FromDetection(d)
-	}
-	writeJSON(w, resp)
-}
-
-func (s *Server) handleRetile(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.RetileRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cancel()
-	st, err := s.sm.RetileSOTContext(ctx, req.Video, req.SOT, req.Layout.ToLayout())
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, rpcwire.FromRetileStats(st))
-}
-
-func (s *Server) handleDesignLayout(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.DesignLayoutRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !unaryBoundary(w, r) {
-		return
-	}
-	l, err := s.sm.DesignLayout(req.Video, req.SOT, req.Labels)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, rpcwire.DesignLayoutResponse{Layout: rpcwire.FromLayout(l)})
-}
-
-func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
-	if !unaryBoundary(w, r) {
-		return
-	}
-	rep, err := s.sm.GC()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, rpcwire.FromGCReport(rep))
-}
-
-// handleFsck verifies only; pointer repair is its own endpoint
-// (/v1/repair, per video), which keeps the expensive repair loop under
-// the client's control — it can stop between videos on cancellation
-// and report per-video progress, exactly like local tasmctl.
-func (s *Server) handleFsck(w http.ResponseWriter, r *http.Request) {
-	if !unaryBoundary(w, r) {
-		return
-	}
-	rep, err := s.sm.FSCK()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, rpcwire.FromFsckReport(rep))
-}
-
-func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.RepairRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if !unaryBoundary(w, r) {
-		return
-	}
-	if err := s.sm.RepairPointers(req.Video); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-// handleRepairStore quarantines corrupt tile versions and falls back to
-// intact earlier ones — the network form of `tasmctl fsck -repair`'s
-// storage half. Unlike /v1/repair it is store-wide: the repair pass is
-// one critical section, so there is no per-video progress to stream.
-func (s *Server) handleRepairStore(w http.ResponseWriter, r *http.Request) {
-	if !unaryBoundary(w, r) {
-		return
-	}
-	rep, err := s.sm.RepairStore()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, rpcwire.FromStoreRepairReport(rep))
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, rpcwire.FromCacheStats(s.sm.CacheStats()))
-}
-
-// handleAutotileStatus reports the background re-tiler's snapshot; with
-// -autotile off it answers 200 with Enabled false (observability of a
-// disabled subsystem is not an error).
-func (s *Server) handleAutotileStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, rpcwire.FromAutotileStatus(s.sm.AutotileStatus()))
-}
-
-// handleAutotilePause suspends background re-tiling. The body is an
-// optional AutotilePauseRequest carrying the operator's reason; on a
-// daemon without -autotile the call is autotile_disabled/400.
-func (s *Server) handleAutotilePause(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.AutotilePauseRequest
-	if r.ContentLength != 0 {
-		if err := readJSON(r, &req); err != nil {
-			writeError(w, err)
-			return
-		}
-	}
-	if !unaryBoundary(w, r) {
-		return
-	}
-	if err := s.sm.AutotilePause(req.Reason); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-// handleAutotileResume lifts a pause (operator- or error-initiated) and
-// kicks a decision cycle.
-func (s *Server) handleAutotileResume(w http.ResponseWriter, r *http.Request) {
-	if !unaryBoundary(w, r) {
-		return
-	}
-	if err := s.sm.AutotileResume(); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-// handleMetrics serves the Prometheus text exposition format. Every
-// series lives in the obs.Registry, which enforces at registration that
-// a HELP line accompanies it — a series without documentation cannot
-// exist. Like every endpoint but the health probe it sits behind auth:
-// serving totals per tenant are operator data, not public data.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics.reg.WriteText(w)
-}
-
-// ---- streaming handlers ----
-
-func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.ScanRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if (req.SQL == "") == (req.Query == nil) {
-		writeError(w, fmt.Errorf("%w: exactly one of sql and query must be set", rpcwire.ErrBadRequest))
-		return
-	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cancel()
-	q := tasm.Query{}
-	if req.SQL != "" {
-		// Parse here rather than via ScanSQLCursor so that only a
-		// genuine parse failure is classified as the client's bad
-		// request; constructor errors below (unknown video, invalid
-		// range, store I/O) keep their own classification.
-		if q, err = tasm.ParseQuery(req.SQL); err != nil {
-			writeError(w, fmt.Errorf("%w: %v", rpcwire.ErrBadRequest, err))
-			return
-		}
-	} else {
-		q = req.Query.ToQuery()
-	}
-	// A multi-video query scatters locally: one engine cursor per video,
-	// merged into a single frame-ordered stream — the same merge the
-	// router runs over remote cursors, so a scan through tasmd and one
-	// scattered across shards produce identical bytes.
-	if vids := q.VideoList(); len(vids) > 1 {
-		srcs := make([]shard.Source[core.RegionResult], 0, len(vids))
-		for _, v := range vids {
-			sq := q
-			sq.Video, sq.Videos = v, nil
-			cur, err := s.sm.ScanCursor(ctx, sq)
-			if err != nil {
-				for _, src := range srcs {
-					_ = src.Close()
-				}
-				writeError(w, err)
-				return
-			}
-			srcs = append(srcs, cur)
-		}
-		merged := shard.NewRegionMerge(srcs...)
-		defer merged.Close()
-		rpcwire.ServeStream(w, r, merged, func(m *shard.Merge[core.RegionResult]) rpcwire.StreamLine {
-			return rpcwire.StreamLine{Region: ptr(rpcwire.FromRegion(m.Result()))}
-		})
-		return
-	}
-	cur, err := s.sm.ScanCursor(ctx, q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cur.Close()
-	rpcwire.ServeStream(w, r, cur, func(c *tasm.Cursor) rpcwire.StreamLine {
-		return rpcwire.StreamLine{Region: ptr(rpcwire.FromRegion(c.Result()))}
-	})
-}
-
-func (s *Server) handleDecodeFrames(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.DecodeFramesRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cancel()
-	cur, err := s.sm.DecodeFramesCursor(ctx, req.Video, req.From, req.To)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer cur.Close()
-	rpcwire.ServeStream(w, r, cur, func(c *tasm.FrameCursor) rpcwire.StreamLine {
-		return rpcwire.StreamLine{Frame: ptr(rpcwire.FromFrameResult(c.Result()))}
-	})
-}
-
-func ptr[T any](v T) *T { return &v }

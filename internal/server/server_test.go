@@ -69,7 +69,7 @@ func newHarness(t *testing.T, cfg server.Config, opts ...tasm.Option) *harness {
 	srv := server.New(sm, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	c, err := client.Dial(ts.URL)
+	c, err := client.New(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRemoteDecodeFramesMatchesInProcess(t *testing.T) {
 // as in-process, across unary and streaming endpoints.
 func TestRemoteErrorsAreSentinels(t *testing.T) {
 	h := newHarness(t, server.Config{})
-	if _, err := h.c.Meta("missing"); !errors.Is(err, tasm.ErrVideoNotFound) {
+	if _, err := h.c.MetaContext(context.Background(), "missing"); !errors.Is(err, tasm.ErrVideoNotFound) {
 		t.Fatalf("remote Meta miss: got %v, want ErrVideoNotFound", err)
 	}
 	if _, err := h.c.ScanSQLCursor(context.Background(), "SELECT car FROM missing"); !errors.Is(err, tasm.ErrVideoNotFound) {
@@ -316,30 +316,13 @@ func TestClientDeadlinePropagates(t *testing.T) {
 	}
 }
 
-func TestBadDeadlineHeaderRejected(t *testing.T) {
-	h := newHarness(t, server.Config{})
-	req, err := http.NewRequest(http.MethodPost, h.ts.URL+"/v1/scan", strings.NewReader(`{"sql":"SELECT car FROM traffic"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(rpcwire.DeadlineHeader, "soon")
-	res, err := h.ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", res.StatusCode)
-	}
-}
-
 // TestRemoteMaintenanceOps drives the unary operational surface end to
 // end: retile through the designed layout, stats, gc, fsck, repair,
 // delete.
 func TestRemoteMaintenanceOps(t *testing.T) {
 	h := newHarness(t, server.Config{})
 
-	l, err := h.c.DesignLayout("traffic", 0, []string{"car"})
+	l, err := h.c.DesignLayoutContext(context.Background(), "traffic", 0, []string{"car"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +330,7 @@ func TestRemoteMaintenanceOps(t *testing.T) {
 		if _, err := h.c.RetileSOTContext(context.Background(), "traffic", 0, l); err != nil {
 			t.Fatal(err)
 		}
-		meta, err := h.c.Meta("traffic")
+		meta, err := h.c.MetaContext(context.Background(), "traffic")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,46 +339,42 @@ func TestRemoteMaintenanceOps(t *testing.T) {
 		}
 	}
 
-	if _, err := h.c.CacheStats(); err != nil {
+	if _, err := h.c.CacheStatsContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.c.GC(); err != nil {
+	if _, err := h.c.GCContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := h.c.FSCK()
+	rep, err := h.c.FSCKContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Problems) != 0 {
 		t.Fatalf("fsck problems over the wire: %v", rep.Problems)
 	}
-	if err := h.c.RepairPointers("traffic"); err != nil {
+	if err := h.c.RepairPointersContext(context.Background(), "traffic"); err != nil {
 		t.Fatal(err)
 	}
 
-	ds, err := h.c.LookupDetections("traffic", "car", 0, 40)
+	ds, err := h.c.LookupDetectionsContext(context.Background(), "traffic", "car", 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ds) == 0 {
 		t.Fatal("no remote detections")
 	}
-	labels, err := h.c.Labels("traffic")
-	if err != nil || len(labels) == 0 {
-		t.Fatalf("labels: %v %v", labels, err)
-	}
-	bytes, err := h.c.VideoBytes("traffic")
-	if err != nil || bytes == 0 {
-		t.Fatalf("video bytes: %d %v", bytes, err)
+	_, bytes, labels, err := h.c.VideoInfoContext(context.Background(), "traffic")
+	if err != nil || len(labels) == 0 || bytes == 0 {
+		t.Fatalf("video info: %d bytes, labels %v, %v", bytes, labels, err)
 	}
 
-	if err := h.c.DeleteVideo("traffic"); err != nil {
+	if err := h.c.DeleteVideoContext(context.Background(), "traffic"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.c.Meta("traffic"); !errors.Is(err, tasm.ErrVideoNotFound) {
+	if _, err := h.c.MetaContext(context.Background(), "traffic"); !errors.Is(err, tasm.ErrVideoNotFound) {
 		t.Fatalf("after remote delete: %v", err)
 	}
-	videos, err := h.c.Videos()
+	videos, err := h.c.VideosContext(context.Background())
 	if err != nil || len(videos) != 0 {
 		t.Fatalf("videos after delete: %v %v", videos, err)
 	}
@@ -472,7 +451,7 @@ func TestRemoteAutotile(t *testing.T) {
 	h := newHarness(t, server.Config{},
 		tasm.WithAdaptiveTiling(), tasm.WithEta(0), tasm.WithAutotileInterval(20*time.Millisecond))
 
-	st, err := h.c.AutotileStatus()
+	st, err := h.c.AutotileStatusContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,13 +460,13 @@ func TestRemoteAutotile(t *testing.T) {
 	}
 
 	// Pause first so the test controls when actions land.
-	if err := h.c.AutotilePause("test hold"); err != nil {
+	if err := h.c.AutotilePauseContext(context.Background(), "test hold"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := h.c.ScanSQLContext(context.Background(), trafficSQL); err != nil {
 		t.Fatal(err)
 	}
-	st, _ = h.c.AutotileStatus()
+	st, _ = h.c.AutotileStatusContext(context.Background())
 	if !st.Paused || st.PauseReason != "test hold" {
 		t.Fatalf("paused status %+v", st)
 	}
@@ -495,11 +474,11 @@ func TestRemoteAutotile(t *testing.T) {
 		t.Fatalf("remote scan did not reach the observer: %+v", st)
 	}
 
-	if err := h.c.AutotileResume(); err != nil {
+	if err := h.c.AutotileResumeContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "a background re-tile", func() bool {
-		st, err := h.c.AutotileStatus()
+		st, err := h.c.AutotileStatusContext(context.Background())
 		return err == nil && st.ActionsApplied >= 1
 	})
 	meta, err := h.sm.Meta("traffic")
@@ -538,17 +517,17 @@ func TestRemoteAutotile(t *testing.T) {
 // resume fail with the typed sentinel.
 func TestAutotileDisabledOverWire(t *testing.T) {
 	h := newHarness(t, server.Config{})
-	st, err := h.c.AutotileStatus()
+	st, err := h.c.AutotileStatusContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Enabled {
 		t.Fatal("autotile reported enabled without WithAdaptiveTiling")
 	}
-	if err := h.c.AutotilePause(""); !errors.Is(err, tasm.ErrAutotileDisabled) {
+	if err := h.c.AutotilePauseContext(context.Background(), ""); !errors.Is(err, tasm.ErrAutotileDisabled) {
 		t.Fatalf("pause error = %v, want ErrAutotileDisabled", err)
 	}
-	if err := h.c.AutotileResume(); !errors.Is(err, tasm.ErrAutotileDisabled) {
+	if err := h.c.AutotileResumeContext(context.Background()); !errors.Is(err, tasm.ErrAutotileDisabled) {
 		t.Fatalf("resume error = %v, want ErrAutotileDisabled", err)
 	}
 }

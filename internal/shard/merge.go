@@ -1,9 +1,10 @@
 // Package shard is TASM's scale-out tier: a consistent-hash shard map
 // over tasmd addresses (map.go), per-shard health tracking with a
-// breaker (health.go), the frame-order merge that turns K per-video
-// cursors into one globally ordered stream (this file), and the
-// stateless Router serving tasmd's HTTP surface over all of it
-// (router.go).
+// breaker (health.go), the scatter and frame-order merge that turn K
+// per-video cursors into one globally ordered stream (this file), and
+// the stateless Router (router.go) — the shared handler set of
+// internal/api over a Backend that routes to the owning shard, fans
+// store-wide operations out and merges them, and scatter-gathers scans.
 //
 // The merge is the piece the cursor contract from PR 3/4 was built
 // for: every source — a local *core* cursor inside tasmd, a remote
@@ -14,23 +15,20 @@
 package shard
 
 import (
+	"sync"
+
+	"github.com/tasm-repro/tasm/internal/api"
 	"github.com/tasm-repro/tasm/internal/core"
+	"github.com/tasm-repro/tasm/internal/query"
 )
 
-// Source is one frame-ordered stream feeding a Merge. Both *tasm
-// cursors (core.ScanCursor, core.FrameCursor) and remote client
-// cursors satisfy it. The Merge relies on the shared cursor contract:
-// results arrive in non-decreasing key order, Err is sticky and
-// meaningful only after Next returns false, Stats is complete once the
-// source is exhausted, and Close is idempotent and releases whatever
-// the source holds.
-type Source[T any] interface {
-	Next() bool
-	Result() T
-	Err() error
-	Stats() core.ScanStats
-	Close() error
-}
+// Source is one frame-ordered stream feeding a Merge: the cursor shape
+// the whole serving stack shares. Both *tasm cursors (core.ScanCursor,
+// core.FrameCursor) and remote client cursors satisfy it, and the Merge
+// relies on its contract — results in non-decreasing key order, a
+// sticky Err meaningful only after Next returns false, Stats complete
+// at exhaustion, an idempotent Close.
+type Source[T any] = api.Cursor[T]
 
 // Merge is a streaming k-way merge of frame-ordered sources into one
 // globally frame-ordered stream. Results sharing a key keep source
@@ -72,6 +70,47 @@ func NewRegionMerge(srcs ...Source[core.RegionResult]) *Merge[core.RegionResult]
 // NewFrameMerge merges whole-frame streams by frame index.
 func NewFrameMerge(srcs ...Source[core.FrameResult]) *Merge[core.FrameResult] {
 	return &Merge[core.FrameResult]{key: func(f core.FrameResult) int { return f.Index }, srcs: srcs}
+}
+
+// ScatterScan is the scatter half of a multi-video scan, shared by
+// every backend: one cursor per video q names, opened concurrently
+// through open with the query narrowed to that video, gathered into one
+// frame-ordered stream (a single-video query needs no merge and is
+// returned as opened). Opening fails whole — the first failure in
+// FROM-list order wins and every cursor already open is closed — so no
+// response starts for a scan that cannot complete.
+func ScatterScan(q query.Query, open func(sq query.Query) (Source[core.RegionResult], error)) (Source[core.RegionResult], error) {
+	vids := q.VideoList()
+	narrow := func(video string) query.Query {
+		sq := q
+		sq.Video, sq.Videos = video, nil
+		return sq
+	}
+	if len(vids) == 1 {
+		return open(narrow(vids[0]))
+	}
+	srcs := make([]Source[core.RegionResult], len(vids))
+	errs := make([]error, len(vids))
+	var wg sync.WaitGroup
+	for i, video := range vids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srcs[i], errs[i] = open(narrow(video))
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			for _, s := range srcs {
+				if s != nil {
+					_ = s.Close()
+				}
+			}
+			return nil, err
+		}
+	}
+	return NewRegionMerge(srcs...), nil
 }
 
 // Next advances to the next result in global frame order. It reports

@@ -1,38 +1,12 @@
 package shard
 
-// Router observability: the registry behind /metrics, the trace ring
-// behind /v1/trace/{id}, and the per-shard latency histograms. The
-// per-shard health and routed-request series that predate the registry
-// (tasm_router_shard_up & co.) keep their exact names, label shapes,
-// and HELP text — they just render through the registry now, which
-// refuses any series registered without a HELP line.
+import "github.com/tasm-repro/tasm/internal/obs"
 
-import (
-	"fmt"
-	"net/http"
-	"time"
-
-	"github.com/tasm-repro/tasm/internal/obs"
-	"github.com/tasm-repro/tasm/internal/rpcwire"
-)
-
-// routerMetrics is every registered series the routing tier updates.
-type routerMetrics struct {
-	reg       *obs.Registry
-	panics    *obs.CounterVec   // unlabeled
-	slow      *obs.CounterVec   // {endpoint}
-	reqWall   *obs.HistogramVec // {endpoint} seconds
-	reqTTFR   *obs.HistogramVec // {endpoint} seconds
-	respSize  *obs.HistogramVec // {endpoint} bytes
-	shardWall *obs.HistogramVec // {shard} seconds
-}
-
-func newRouterMetrics(rt *Router) *routerMetrics {
-	reg := obs.NewRegistry()
-
-	// Per-shard breaker and counter series, read from the live shard
-	// states at scrape time so a SIGHUP map reload re-shapes the label
-	// set without re-registration.
+// registerShardSeries adds the per-shard breaker and counter series to
+// the router's /metrics registry. They are read from the live shard
+// states at scrape time, so a SIGHUP map reload re-shapes the label set
+// without re-registration.
+func (rt *Router) registerShardSeries(reg *obs.Registry) {
 	perShard := func(name, typ, help string, value func(st *shardState) float64) {
 		reg.NewSeriesFunc(name, typ, help, []string{"shard"}, func() []obs.Sample {
 			states := rt.statesSnapshot()
@@ -63,41 +37,4 @@ func newRouterMetrics(rt *Router) *routerMetrics {
 	perShard("tasm_router_request_failures_total", "counter",
 		"Transport-level failures observed against the shard.",
 		func(st *shardState) float64 { return float64(st.failures.Load()) })
-
-	return &routerMetrics{
-		reg:    reg,
-		panics: reg.NewCounterVec("tasm_router_request_panics_total", "Handler panics recovered into 500 responses."),
-		slow:   reg.NewCounterVec("tasm_router_slow_queries_total", "Requests at or above -slow-query-threshold, by endpoint.", "endpoint"),
-		reqWall: reg.NewHistogramVec("tasm_router_request_seconds",
-			"Request wall time from arrival to last byte, by endpoint.",
-			obs.DefaultLatencyBuckets, "endpoint"),
-		reqTTFR: reg.NewHistogramVec("tasm_router_request_ttfr_seconds",
-			"Time to first response byte (streaming endpoints: first result), by endpoint.",
-			obs.DefaultLatencyBuckets, "endpoint"),
-		respSize: reg.NewHistogramVec("tasm_router_response_size_bytes",
-			"Response body size, by endpoint.",
-			obs.DefaultSizeBuckets, "endpoint"),
-		shardWall: reg.NewHistogramVec("tasm_router_shard_seconds",
-			"Wall time of routed calls against each shard (streaming paths count the cursor open, not the relay).",
-			obs.DefaultLatencyBuckets, "shard"),
-	}
-}
-
-// observeShard folds one routed call's wall time into the per-shard
-// latency histogram.
-func (rt *Router) observeShard(st *shardState, begin time.Time) {
-	rt.metrics.shardWall.With(st.name).Observe(time.Since(begin).Seconds())
-}
-
-// handleTrace serves one finished request's span timeline from the
-// router's own ring. Shard-side spans live in the shards' rings under
-// the same id — the router forwards the inbound trace id on every hop.
-func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := rt.traces.Get(id)
-	if !ok {
-		rpcwire.WriteError(w, fmt.Errorf("%w: id %q is not among the most recent finished requests", rpcwire.ErrTraceNotFound, id))
-		return
-	}
-	rpcwire.WriteJSON(w, rec)
 }

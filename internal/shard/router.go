@@ -7,16 +7,14 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"runtime/debug"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/tasm-repro/tasm"
 	"github.com/tasm-repro/tasm/client"
-	"github.com/tasm-repro/tasm/internal/core"
+	"github.com/tasm-repro/tasm/internal/api"
 	"github.com/tasm-repro/tasm/internal/obs"
 	"github.com/tasm-repro/tasm/internal/rpcwire"
 	"github.com/tasm-repro/tasm/internal/tasmerr"
@@ -52,23 +50,28 @@ type RouterConfig struct {
 	TraceCapacity int
 }
 
-// Router is the stateless scale-out tier: an http.Handler serving
-// tasmd's exact HTTP surface (client/ and tasmctl -addr work against it
-// unchanged) by routing each operation over a consistent-hash shard
-// map. Video-scoped operations go to the owning shard; store-scoped
-// ones (catalog, stats, gc, fsck, autotile) fan out to every shard and
-// merge; the streaming paths scatter per-video remote cursors and
-// gather them through the frame-order Merge, re-encoded in whatever
-// framing the caller negotiated.
+// Router is the stateless scale-out tier: the shared HTTP surface
+// (internal/api — tasmd's exact route table and middleware, so client/
+// and tasmctl -addr work against it unchanged) over a Backend that
+// routes each operation across a consistent-hash shard map.
+// Video-scoped operations go to the owning shard; store-scoped ones
+// (catalog, stats, gc, fsck, autotile) fan out to every shard and
+// merge; scans scatter per-video remote cursors and gather them
+// through the frame-order Merge. There is no auth or admission layer
+// here — the shards enforce their own (the router forwards its
+// configured shard token), and the router does no storage work worth
+// admission-controlling. The inbound trace id travels the request
+// context into every shard hop (the backend clients forward it as
+// Tasm-Trace-Id), so one id indexes the trace rings of the router and
+// every shard that served the request.
 //
 // "Stateless" is precise: the router holds no video data and no
 // catalog, only the shard map and per-shard health — kill it and start
 // another with the same map file and nothing is lost.
 type Router struct {
-	cfg     RouterConfig
-	mux     *http.ServeMux
-	metrics *routerMetrics
-	traces  *obs.TraceStore
+	*api.Handler
+	cfg       RouterConfig
+	shardWall *obs.HistogramVec // {shard} seconds
 
 	mu     sync.Mutex
 	m      *Map
@@ -103,43 +106,26 @@ func NewRouter(m *Map, cfg RouterConfig) (*Router, error) {
 		cfg:    cfg,
 		states: make(map[string]*shardState),
 		stopCh: make(chan struct{}),
-		traces: obs.NewTraceStore(cfg.TraceCapacity),
 	}
-	rt.metrics = newRouterMetrics(rt)
 	if err := rt.SetMap(m); err != nil {
 		return nil, err
 	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /v1/videos", rt.handleVideos)
-	mux.HandleFunc("GET /v1/videos/{video}", rt.handleVideoInfo)
-	mux.HandleFunc("DELETE /v1/videos/{video}", rt.handleDeleteVideo)
-	mux.HandleFunc("POST /v1/ingest", rt.handleIngest)
-	mux.HandleFunc("POST /v1/live", rt.handleCreateLive)
-	mux.HandleFunc("POST /v1/append", rt.handleAppend)
-	mux.HandleFunc("GET /v1/subscribe", rt.handleSubscribe)
-	mux.HandleFunc("POST /v1/seal", rt.handleSeal)
-	mux.HandleFunc("POST /v1/retention", rt.handleRetention)
-	mux.HandleFunc("POST /v1/metadata", rt.handleMetadata)
-	mux.HandleFunc("POST /v1/markdetected", rt.handleMarkDetected)
-	mux.HandleFunc("GET /v1/detections", rt.handleDetections)
-	mux.HandleFunc("POST /v1/scan", rt.handleScan)
-	mux.HandleFunc("POST /v1/decodeframes", rt.handleDecodeFrames)
-	mux.HandleFunc("POST /v1/retile", rt.handleRetile)
-	mux.HandleFunc("POST /v1/designlayout", rt.handleDesignLayout)
-	mux.HandleFunc("POST /v1/gc", rt.handleGC)
-	mux.HandleFunc("POST /v1/fsck", rt.handleFsck)
-	mux.HandleFunc("POST /v1/repair", rt.handleRepair)
-	mux.HandleFunc("POST /v1/repairstore", rt.handleRepairStore)
-	mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	mux.HandleFunc("GET /v1/shards", rt.handleShards)
-	mux.HandleFunc("GET /v1/autotile/status", rt.handleAutotileStatus)
-	mux.HandleFunc("POST /v1/autotile/pause", rt.handleAutotilePause)
-	mux.HandleFunc("POST /v1/autotile/resume", rt.handleAutotileResume)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /v1/trace/{id}", rt.handleTrace)
-	rt.mux = mux
+	reg := obs.NewRegistry()
+	rt.registerShardSeries(reg)
+	rt.Handler = api.New(rt, api.Config{
+		Logger:             cfg.Logger,
+		AccessLogger:       cfg.AccessLogger,
+		MaxBodyBytes:       cfg.MaxBodyBytes,
+		SlowQueryThreshold: cfg.SlowQueryThreshold,
+		TraceCapacity:      cfg.TraceCapacity,
+		Registry:           reg,
+		MetricsPrefix:      "tasm_router",
+		Tier:               "router",
+	})
+	rt.shardWall = reg.NewHistogramVec("tasm_router_shard_seconds",
+		"Wall time of routed calls against each shard (streaming paths count the cursor open, not the relay).",
+		obs.DefaultLatencyBuckets, "shard")
+	rt.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, r *http.Request) { rpcwire.WriteJSON(w, rt.shards()) })
 
 	rt.probeWG.Add(1)
 	go rt.probeLoop()
@@ -214,7 +200,7 @@ func (rt *Router) Close() {
 	})
 }
 
-// ---- request routing and error classification ----
+// ---- routing and error classification ----
 
 // owner resolves the shard owning video and fails fast (without
 // dialing) when its breaker is open.
@@ -275,8 +261,9 @@ type fanResult[T any] struct {
 
 // fanOut runs fn against every shard concurrently, classifying each
 // outcome. Down shards fail fast without dialing. Results come back in
-// map order, so "first error wins" is deterministic.
-func fanOut[T any](rt *Router, fn func(st *shardState) (T, error)) []fanResult[T] {
+// map order, with the first failure in that order — so "first error
+// wins" is deterministic.
+func fanOut[T any](rt *Router, fn func(c *client.Client) (T, error)) ([]fanResult[T], error) {
 	states := rt.statesSnapshot()
 	out := make([]fanResult[T], len(states))
 	var wg sync.WaitGroup
@@ -291,509 +278,165 @@ func fanOut[T any](rt *Router, fn func(st *shardState) (T, error)) []fanResult[T
 			}
 			st.requests.Add(1)
 			t0 := time.Now()
-			v, err := fn(st)
+			v, err := fn(st.c)
 			rt.observeShard(st, t0)
 			out[i].val, out[i].err = v, rt.classify(st, err)
 		}(i, st)
 	}
 	wg.Wait()
+	for _, r := range out {
+		if r.err != nil {
+			return out, r.err
+		}
+	}
+	return out, nil
+}
+
+// routed runs one video-scoped operation against the owning shard,
+// timing it and folding its outcome into the shard's breaker.
+func (rt *Router) routed(video string, fn func(c *client.Client) error) error {
+	st, err := rt.owner(video)
+	if err != nil {
+		return err
+	}
+	t0 := time.Now()
+	err = fn(st.c)
+	rt.observeShard(st, t0)
+	return rt.classify(st, err)
+}
+
+// observeShard folds one routed call's wall time into the per-shard
+// latency histogram.
+func (rt *Router) observeShard(st *shardState, begin time.Time) {
+	rt.shardWall.With(st.name).Observe(time.Since(begin).Seconds())
+}
+
+// prefixAll tags report lines with the shard they came from, so a
+// merged fsck/gc report still tells the operator where to look.
+func prefixAll(shard string, lines []string) []string {
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		out[i] = shard + ": " + l
+	}
 	return out
 }
 
-// firstError returns the first failure of a fan-out, in map order.
-func firstError[T any](results []fanResult[T]) error {
-	for _, r := range results {
-		if r.err != nil {
-			return r.err
-		}
+// shards is GET /v1/shards, the router's one route beside the shared
+// table: the live map and per-shard breaker state.
+func (rt *Router) shards() rpcwire.ShardsResponse {
+	rt.mu.Lock()
+	m, order := rt.m, append([]*shardState(nil), rt.order...)
+	rt.mu.Unlock()
+	resp := rpcwire.ShardsResponse{Replicas: m.Replicas()}
+	for _, st := range order {
+		down, consec := st.snapshot()
+		resp.Shards = append(resp.Shards, rpcwire.ShardInfo{
+			Name: st.name, Addr: st.addr, Healthy: !down, ConsecutiveFailures: consec,
+		})
 	}
-	return nil
+	return resp
 }
 
-// ---- middleware ----
+// ---- api.Backend: video-scoped operations route to the owner ----
 
-// ServeHTTP is the router's stack: recover → trace → observe → body
-// cap → route. There is no auth or admission layer here — the shards
-// enforce their own (the router forwards its configured shard token),
-// and the router does no storage work worth admission-controlling. The
-// trace id — adopted from the caller when valid, minted otherwise —
-// travels the request context into every shard hop (the backend
-// clients forward it as Tasm-Trace-Id), so one id indexes the trace
-// rings of the router and every shard that served the request.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	lw := &accessWriter{ResponseWriter: w}
-	start := time.Now()
-	tid := r.Header.Get(obs.TraceHeader)
-	if !obs.ValidTraceID(tid) {
-		tid = obs.NewTraceID()
-	}
-	tr := obs.NewTrace(tid)
-	tr.Annotate("method", r.Method)
-	tr.Annotate("path", r.URL.Path)
-	tr.Annotate("tier", "router")
-	lw.Header().Set(obs.TraceHeader, tid)
-	r = r.WithContext(obs.WithTrace(r.Context(), tr))
-	defer func() {
-		if p := recover(); p != nil {
-			rt.metrics.panics.With().Inc()
-			rt.cfg.Logger.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
-			if !lw.wrote {
-				rpcwire.WriteError(lw, fmt.Errorf("internal panic: %v", p))
-			}
-		}
-		endpoint := r.Pattern
-		if endpoint == "" {
-			endpoint = "unmatched"
-		}
-		dur := time.Since(start)
-		status := lw.status()
-		m := rt.metrics
-		m.reqWall.With(endpoint).Observe(dur.Seconds())
-		var ttfr time.Duration
-		if !lw.firstWrite.IsZero() {
-			ttfr = lw.firstWrite.Sub(start)
-			m.reqTTFR.With(endpoint).Observe(ttfr.Seconds())
-		}
-		m.respSize.With(endpoint).Observe(float64(lw.bytes))
-
-		tr.Annotate("endpoint", endpoint)
-		tr.Annotate("status", strconv.Itoa(status))
-		rt.traces.Put(tr.Snapshot())
-
-		rec := obs.AccessRecord{
-			Level:    "access",
-			TraceID:  tid,
-			Method:   r.Method,
-			Path:     r.URL.Path,
-			Endpoint: endpoint,
-			Status:   status,
-			Bytes:    lw.bytes,
-			DurMS:    obs.Msec(dur),
-			TTFRMS:   obs.Msec(ttfr),
-			Remote:   r.RemoteAddr,
-		}
-		rt.cfg.AccessLogger.Print(rec.Line())
-		if thr := rt.cfg.SlowQueryThreshold; thr > 0 && dur >= thr {
-			m.slow.With(endpoint).Inc()
-			rec.Level = "slow_query"
-			rec.ThresholdMS = obs.Msec(thr)
-			rt.cfg.Logger.Print(rec.Line())
-		}
-	}()
-	r.Body = http.MaxBytesReader(lw, r.Body, rt.cfg.MaxBodyBytes)
-	rt.mux.ServeHTTP(lw, r)
-}
-
-// accessWriter captures status, bytes, and time-to-first-byte for the
-// access line and histograms, and keeps http.Flusher reachable (the
-// streaming paths flush per record).
-type accessWriter struct {
-	http.ResponseWriter
-	code       int
-	bytes      int64
-	wrote      bool
-	firstWrite time.Time
-}
-
-func (w *accessWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.wrote, w.code = true, code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *accessWriter) Write(p []byte) (int, error) {
-	if !w.wrote {
-		w.wrote, w.code = true, http.StatusOK
-	}
-	if w.firstWrite.IsZero() {
-		w.firstWrite = time.Now()
-	}
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-func (w *accessWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (w *accessWriter) status() int {
-	if !w.wrote {
-		return http.StatusOK
-	}
-	return w.code
-}
-
-// ---- unary handlers: video-scoped (route to owner) ----
-
-// routed runs one video-scoped operation against the owner shard and
-// writes the JSON response or the classified error.
-func routed[T any](rt *Router, w http.ResponseWriter, video string, fn func(st *shardState) (T, error)) {
-	st, err := rt.owner(video)
-	if err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	t0 := time.Now()
-	v, err := fn(st)
-	rt.observeShard(st, t0)
-	if err = rt.classify(st, err); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	rpcwire.WriteJSON(w, v)
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rpcwire.WriteJSON(w, struct {
-		OK bool `json:"ok"`
-	}{true})
-}
-
-func (rt *Router) handleVideoInfo(w http.ResponseWriter, r *http.Request) {
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	video := r.PathValue("video")
-	routed(rt, w, video, func(st *shardState) (rpcwire.VideoInfo, error) {
-		meta, bytes, labels, err := st.c.VideoInfoContext(r.Context(), video)
-		return rpcwire.VideoInfo{Meta: meta, Bytes: bytes, Labels: labels}, err
+func (rt *Router) VideoInfoContext(ctx context.Context, video string) (meta tasm.VideoMeta, bytes int64, labels []string, err error) {
+	err = rt.routed(video, func(c *client.Client) (err error) {
+		meta, bytes, labels, err = c.VideoInfoContext(ctx, video)
+		return err
 	})
+	return meta, bytes, labels, err
 }
 
-func (rt *Router) handleDeleteVideo(w http.ResponseWriter, r *http.Request) {
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	video := r.PathValue("video")
-	routed(rt, w, video, func(st *shardState) (struct{}, error) {
-		return struct{}{}, st.c.DeleteVideoContext(r.Context(), video)
+func (rt *Router) DeleteVideoContext(ctx context.Context, video string) error {
+	return rt.routed(video, func(c *client.Client) error { return c.DeleteVideoContext(ctx, video) })
+}
+
+func (rt *Router) IngestContext(ctx context.Context, video string, frames []*tasm.Frame, fps int) (st tasm.IngestStats, err error) {
+	err = rt.routed(video, func(c *client.Client) (err error) {
+		st, err = c.IngestContext(ctx, video, frames, fps)
+		return err
 	})
+	return st, err
 }
 
-func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.IngestRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	ctx, cancel, err := rpcwire.RequestContext(r)
-	if err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	defer cancel()
-	// Validate frames at the boundary, exactly like tasmd: a malformed
-	// upload is the caller's bad_request, not a shard round trip.
-	frames := make([]*tasm.Frame, len(req.Frames))
-	for i, wf := range req.Frames {
-		if frames[i], err = wf.ToFrame(); err != nil {
-			rpcwire.WriteError(w, fmt.Errorf("frame %d: %w", i, err))
-			return
-		}
-	}
-	routed(rt, w, req.Video, func(st *shardState) (rpcwire.IngestStats, error) {
-		var stats tasm.IngestStats
-		var err error
-		if len(req.Layouts) > 0 {
-			layouts := make([]tasm.Layout, len(req.Layouts))
-			for i, wl := range req.Layouts {
-				layouts[i] = wl.ToLayout()
-			}
-			stats, err = st.c.IngestTiledContext(ctx, req.Video, frames, req.FPS, layouts)
-		} else {
-			stats, err = st.c.IngestContext(ctx, req.Video, frames, req.FPS)
-		}
-		return rpcwire.FromIngestStats(stats), err
+func (rt *Router) IngestTiledContext(ctx context.Context, video string, frames []*tasm.Frame, fps int, layouts []tasm.Layout) (st tasm.IngestStats, err error) {
+	err = rt.routed(video, func(c *client.Client) (err error) {
+		st, err = c.IngestTiledContext(ctx, video, frames, fps, layouts)
+		return err
 	})
+	return st, err
 }
 
-// ---- live ingest: route to the owning shard ----
+func (rt *Router) CreateLiveContext(ctx context.Context, video string, w, h, fps int, pol *tasm.RetentionPolicy) error {
+	return rt.routed(video, func(c *client.Client) error { return c.CreateLiveContext(ctx, video, w, h, fps, pol) })
+}
 
-func (rt *Router) handleCreateLive(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.CreateLiveRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	routed(rt, w, req.Video, func(st *shardState) (struct{}, error) {
-		return struct{}{}, st.c.CreateLiveContext(r.Context(), req.Video, req.W, req.H, req.FPS,
-			req.Retention.ToRetentionPolicy())
+// AppendContext re-frames the batch over the always-binary router→shard
+// hop. A shard's backpressure 429 passes through typed, so the caller's
+// retry logic behaves identically through the router.
+func (rt *Router) AppendContext(ctx context.Context, video string, frames []*tasm.Frame) (st tasm.AppendStats, err error) {
+	err = rt.routed(video, func(c *client.Client) (err error) {
+		st, err = c.AppendContext(ctx, video, frames)
+		return err
 	})
+	return st, err
 }
 
-// handleAppend forwards a frame batch to the owning shard. Like
-// handleIngest it validates frames at the boundary (either body form —
-// the binary TASMFRM2 stream or the JSON fallback) so a malformed
-// upload is the caller's bad_request, then re-frames them over the
-// always-binary router→shard hop. A shard's backpressure 429 passes
-// through typed, Retry-After restored, so the client's retry logic
-// behaves identically through the router.
-func (rt *Router) handleAppend(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := rpcwire.RequestContext(r)
-	if err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	defer cancel()
-	var video string
-	var frames []*tasm.Frame
-	if strings.HasPrefix(r.Header.Get("Content-Type"), rpcwire.ContentTypeBinary) {
-		video = r.URL.Query().Get("video")
-		if video == "" {
-			rpcwire.WriteError(w, fmt.Errorf("%w: binary append needs ?video=", rpcwire.ErrBadRequest))
-			return
-		}
-		fr := rpcwire.NewFrameStreamReader(r.Body)
-		for {
-			line, rerr := fr.ReadLine()
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				rpcwire.WriteError(w, fmt.Errorf("%w: append stream: %v", rpcwire.ErrBadRequest, rerr))
-				return
-			}
-			if line.Frame == nil {
-				rpcwire.WriteError(w, fmt.Errorf("%w: append stream carries only frame records", rpcwire.ErrBadRequest))
-				return
-			}
-			f, ferr := line.Frame.Pixels.ToFrame()
-			if ferr != nil {
-				rpcwire.WriteError(w, fmt.Errorf("frame %d: %w", len(frames), ferr))
-				return
-			}
-			frames = append(frames, f)
-		}
-	} else {
-		var req rpcwire.AppendRequest
-		if err := rpcwire.ReadJSON(r, &req); err != nil {
-			rpcwire.WriteError(w, err)
-			return
-		}
-		video = req.Video
-		frames = make([]*tasm.Frame, len(req.Frames))
-		for i, wf := range req.Frames {
-			if frames[i], err = wf.ToFrame(); err != nil {
-				rpcwire.WriteError(w, fmt.Errorf("frame %d: %w", i, err))
-				return
-			}
-		}
-	}
-	st, err := rt.owner(video)
-	if err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	t0 := time.Now()
-	stats, err := st.c.AppendContext(ctx, video, frames)
-	rt.observeShard(st, t0)
-	if err = rt.classify(st, err); err != nil {
-		if errors.Is(err, tasmerr.ErrIngestBackpressure) {
-			w.Header().Set("Retry-After", "1")
-		}
-		rpcwire.WriteError(w, err)
-		return
-	}
-	rpcwire.WriteJSON(w, rpcwire.FromAppendStats(stats))
+func (rt *Router) SealContext(ctx context.Context, video string) error {
+	return rt.routed(video, func(c *client.Client) error { return c.SealContext(ctx, video) })
 }
 
-// handleSubscribe relays a live tail from the owning shard — the same
-// single-owner stream shape as handleDecodeFrames, but long-lived: the
-// relay holds one upstream subscription for as long as the caller
-// stays connected, and a SIGHUP map reload does not touch it (in-flight
-// requests keep the shard client they started with; only new
-// subscriptions see the new map). A shard SIGKILLed mid-tail surfaces
-// shard_unavailable through the stream's error trailer, the client's
-// cue to resubscribe from its watermark once the shard returns.
-func (rt *Router) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	qs := r.URL.Query()
-	video := qs.Get("video")
-	if video == "" {
-		rpcwire.WriteError(w, fmt.Errorf("%w: need video", rpcwire.ErrBadRequest))
-		return
-	}
-	from := 0
-	if h := qs.Get("from"); h != "" {
-		v, aerr := strconv.Atoi(h)
-		if aerr != nil || v < 0 {
-			rpcwire.WriteError(w, fmt.Errorf("%w: from=%q", rpcwire.ErrBadRequest, h))
-			return
-		}
-		from = v
-	}
-	ctx, cancel, err := rpcwire.RequestContext(r)
-	if err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	defer cancel()
-	tr := obs.FromContext(r.Context())
-	endRoute := tr.StartSpan("route")
-	st, err := rt.owner(video)
-	if err != nil {
-		endRoute()
-		rpcwire.WriteError(w, err)
-		return
-	}
-	t0 := time.Now()
-	cur, err := st.c.Subscribe(ctx, video, from)
-	rt.observeShard(st, t0)
-	endRoute("video", video, "shard", st.name)
-	if err != nil {
-		rpcwire.WriteError(w, rt.classify(st, err))
-		return
-	}
-	src := &frameSource{shardStream: shardStream{rt: rt, st: st}, cur: cur}
-	defer src.Close()
-	relayStart := time.Now()
-	rpcwire.ServeStream(w, r, src, func(s *frameSource) rpcwire.StreamLine {
-		fl := rpcwire.FromFrameResult(s.Result())
-		return rpcwire.StreamLine{Frame: &fl}
+func (rt *Router) SetRetentionContext(ctx context.Context, video string, pol *tasm.RetentionPolicy) (rep tasm.TrimReport, err error) {
+	err = rt.routed(video, func(c *client.Client) (err error) {
+		rep, err = c.SetRetentionContext(ctx, video, pol)
+		return err
 	})
-	tr.AddSpan("relay", relayStart, time.Since(relayStart), "shard", st.name)
+	return rep, err
 }
 
-func (rt *Router) handleSeal(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.SealRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	routed(rt, w, req.Video, func(st *shardState) (struct{}, error) {
-		return struct{}{}, st.c.SealContext(r.Context(), req.Video)
-	})
+func (rt *Router) AddDetectionsContext(ctx context.Context, video string, ds []tasm.Detection) error {
+	return rt.routed(video, func(c *client.Client) error { return c.AddDetectionsContext(ctx, video, ds) })
 }
 
-func (rt *Router) handleRetention(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.RetentionRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	routed(rt, w, req.Video, func(st *shardState) (rpcwire.TrimReport, error) {
-		rep, err := st.c.SetRetentionContext(r.Context(), req.Video, req.Retention.ToRetentionPolicy())
-		return rpcwire.FromTrimReport(rep), err
-	})
+func (rt *Router) MarkDetectedContext(ctx context.Context, video, label string, from, to int) error {
+	return rt.routed(video, func(c *client.Client) error { return c.MarkDetectedContext(ctx, video, label, from, to) })
 }
 
-func (rt *Router) handleMetadata(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.MetadataRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	ds := make([]tasm.Detection, len(req.Detections))
-	for i, d := range req.Detections {
-		ds[i] = d.ToDetection()
-	}
-	routed(rt, w, req.Video, func(st *shardState) (struct{}, error) {
-		return struct{}{}, st.c.AddDetectionsContext(r.Context(), req.Video, ds)
+func (rt *Router) LookupDetectionsContext(ctx context.Context, video, label string, from, to int) (ds []tasm.Detection, err error) {
+	err = rt.routed(video, func(c *client.Client) (err error) {
+		ds, err = c.LookupDetectionsContext(ctx, video, label, from, to)
+		return err
 	})
+	return ds, err
 }
 
-func (rt *Router) handleMarkDetected(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.MarkDetectedRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	routed(rt, w, req.Video, func(st *shardState) (struct{}, error) {
-		return struct{}{}, st.c.MarkDetectedContext(r.Context(), req.Video, req.Label, req.From, req.To)
+func (rt *Router) DesignLayoutContext(ctx context.Context, video string, sotID int, labels []string) (l tasm.Layout, err error) {
+	err = rt.routed(video, func(c *client.Client) (err error) {
+		l, err = c.DesignLayoutContext(ctx, video, sotID, labels)
+		return err
 	})
+	return l, err
 }
 
-func (rt *Router) handleDetections(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	video, label := q.Get("video"), q.Get("label")
-	from, err1 := strconv.Atoi(q.Get("from"))
-	to, err2 := strconv.Atoi(q.Get("to"))
-	if video == "" || label == "" || err1 != nil || err2 != nil {
-		rpcwire.WriteError(w, fmt.Errorf("%w: need video, label, from, to", rpcwire.ErrBadRequest))
-		return
-	}
-	routed(rt, w, video, func(st *shardState) (rpcwire.DetectionsResponse, error) {
-		ds, err := st.c.LookupDetectionsContext(r.Context(), video, label, from, to)
-		resp := rpcwire.DetectionsResponse{Detections: make([]rpcwire.Detection, len(ds))}
-		for i, d := range ds {
-			resp.Detections[i] = rpcwire.FromDetection(d)
-		}
-		return resp, err
+func (rt *Router) RetileSOTContext(ctx context.Context, video string, sotID int, l tasm.Layout) (st tasm.RetileStats, err error) {
+	err = rt.routed(video, func(c *client.Client) (err error) {
+		st, err = c.RetileSOTContext(ctx, video, sotID, l)
+		return err
 	})
+	return st, err
 }
 
-func (rt *Router) handleRetile(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.RetileRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	ctx, cancel, err := rpcwire.RequestContext(r)
-	if err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	defer cancel()
-	routed(rt, w, req.Video, func(st *shardState) (rpcwire.RetileStats, error) {
-		stats, err := st.c.RetileSOTContext(ctx, req.Video, req.SOT, req.Layout.ToLayout())
-		return rpcwire.FromRetileStats(stats), err
-	})
+func (rt *Router) RepairPointersContext(ctx context.Context, video string) error {
+	return rt.routed(video, func(c *client.Client) error { return c.RepairPointersContext(ctx, video) })
 }
 
-func (rt *Router) handleDesignLayout(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.DesignLayoutRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	routed(rt, w, req.Video, func(st *shardState) (rpcwire.DesignLayoutResponse, error) {
-		l, err := st.c.DesignLayoutContext(r.Context(), req.Video, req.SOT, req.Labels)
-		return rpcwire.DesignLayoutResponse{Layout: rpcwire.FromLayout(l)}, err
-	})
-}
+// ---- api.Backend: store-scoped operations fan out and merge ----
 
-func (rt *Router) handleRepair(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.RepairRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	routed(rt, w, req.Video, func(st *shardState) (struct{}, error) {
-		return struct{}{}, st.c.RepairPointersContext(r.Context(), req.Video)
-	})
-}
-
-// ---- unary handlers: store-scoped (fan out and merge) ----
-
-func (rt *Router) handleVideos(w http.ResponseWriter, r *http.Request) {
-	results := fanOut(rt, func(st *shardState) ([]string, error) {
-		return st.c.VideosContext(r.Context())
-	})
+func (rt *Router) VideosContext(ctx context.Context) ([]string, error) {
+	results, err := fanOut(rt, func(c *client.Client) ([]string, error) { return c.VideosContext(ctx) })
 	// A partial catalog is a silent lie — fail loudly instead.
-	if err := firstError(results); err != nil {
-		rpcwire.WriteError(w, err)
-		return
+	if err != nil {
+		return nil, err
 	}
 	seen := map[string]bool{}
 	var all []string
@@ -806,42 +449,28 @@ func (rt *Router) handleVideos(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Strings(all)
-	rpcwire.WriteJSON(w, rpcwire.VideosResponse{Videos: all})
+	return all, nil
 }
 
-func (rt *Router) handleGC(w http.ResponseWriter, r *http.Request) {
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
+func (rt *Router) GCContext(ctx context.Context) (merged tasm.GCReport, err error) {
+	results, err := fanOut(rt, func(c *client.Client) (tasm.GCReport, error) { return c.GCContext(ctx) })
+	if err != nil {
+		return merged, err
 	}
-	results := fanOut(rt, func(st *shardState) (tasm.GCReport, error) {
-		return st.c.GCContext(r.Context())
-	})
-	if err := firstError(results); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	var merged rpcwire.GCReport
 	for _, res := range results {
 		merged.Removed = append(merged.Removed, prefixAll(res.st.name, res.val.Removed)...)
 		merged.Deferred = append(merged.Deferred, prefixAll(res.st.name, res.val.Deferred)...)
 	}
-	rpcwire.WriteJSON(w, merged)
+	return merged, nil
 }
 
-func (rt *Router) handleFsck(w http.ResponseWriter, r *http.Request) {
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	results := fanOut(rt, func(st *shardState) (tasm.FsckReport, error) {
-		return st.c.FSCKContext(r.Context())
-	})
+func (rt *Router) FSCKContext(ctx context.Context) (merged tasm.FsckReport, err error) {
+	results, err := fanOut(rt, func(c *client.Client) (tasm.FsckReport, error) { return c.FSCKContext(ctx) })
 	// An unreachable shard must fail the check: "clean" may not be
 	// claimed for state that could not be verified.
-	if err := firstError(results); err != nil {
-		rpcwire.WriteError(w, err)
-		return
+	if err != nil {
+		return merged, err
 	}
-	var merged rpcwire.FsckReport
 	for _, res := range results {
 		merged.Videos += res.val.Videos
 		merged.SOTs += res.val.SOTs
@@ -850,37 +479,28 @@ func (rt *Router) handleFsck(w http.ResponseWriter, r *http.Request) {
 		merged.Problems = append(merged.Problems, prefixAll(res.st.name, res.val.Problems)...)
 		merged.Orphans = append(merged.Orphans, prefixAll(res.st.name, res.val.Orphans)...)
 	}
-	rpcwire.WriteJSON(w, merged)
+	return merged, nil
 }
 
-func (rt *Router) handleRepairStore(w http.ResponseWriter, r *http.Request) {
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
+func (rt *Router) RepairStoreContext(ctx context.Context) (merged tasm.RepairReport, err error) {
+	results, err := fanOut(rt, func(c *client.Client) (tasm.RepairReport, error) { return c.RepairStoreContext(ctx) })
+	if err != nil {
+		return merged, err
 	}
-	results := fanOut(rt, func(st *shardState) (tasm.RepairReport, error) {
-		return st.c.RepairStoreContext(r.Context())
-	})
-	if err := firstError(results); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	var merged rpcwire.StoreRepairReport
 	for _, res := range results {
 		merged.Quarantined = append(merged.Quarantined, prefixAll(res.st.name, res.val.Quarantined)...)
 		merged.Reverted = append(merged.Reverted, prefixAll(res.st.name, res.val.Reverted)...)
 		merged.Videos = append(merged.Videos, prefixAll(res.st.name, res.val.Videos)...)
 	}
-	rpcwire.WriteJSON(w, merged)
+	return merged, nil
 }
 
-// handleStats degrades gracefully where the other aggregations fail
+// StatsContext degrades gracefully where the other aggregations fail
 // loudly: stats are observability, and an outage is exactly when the
 // operator needs the per-shard view — so a down shard appears in the
 // breakdown with its error while the totals cover the healthy ones.
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	results := fanOut(rt, func(st *shardState) (tasm.CacheStats, error) {
-		return st.c.CacheStatsContext(r.Context())
-	})
+func (rt *Router) StatsContext(ctx context.Context) (rpcwire.ShardedCacheStats, error) {
+	results, _ := fanOut(rt, func(c *client.Client) (tasm.CacheStats, error) { return c.CacheStatsContext(ctx) })
 	var resp rpcwire.ShardedCacheStats
 	for _, res := range results {
 		down, _ := res.st.snapshot()
@@ -899,32 +519,14 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards = append(resp.Shards, sc)
 	}
-	rpcwire.WriteJSON(w, resp)
+	return resp, nil
 }
 
-func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
-	rt.mu.Lock()
-	m, order := rt.m, append([]*shardState(nil), rt.order...)
-	rt.mu.Unlock()
-	resp := rpcwire.ShardsResponse{Replicas: m.Replicas()}
-	for _, st := range order {
-		down, consec := st.snapshot()
-		resp.Shards = append(resp.Shards, rpcwire.ShardInfo{
-			Name: st.name, Addr: st.addr, Healthy: !down, ConsecutiveFailures: consec,
-		})
+func (rt *Router) AutotileStatusContext(ctx context.Context) (merged tasm.AutotileStatus, err error) {
+	results, err := fanOut(rt, func(c *client.Client) (tasm.AutotileStatus, error) { return c.AutotileStatusContext(ctx) })
+	if err != nil {
+		return merged, err
 	}
-	rpcwire.WriteJSON(w, resp)
-}
-
-func (rt *Router) handleAutotileStatus(w http.ResponseWriter, r *http.Request) {
-	results := fanOut(rt, func(st *shardState) (tasm.AutotileStatus, error) {
-		return st.c.AutotileStatusContext(r.Context())
-	})
-	if err := firstError(results); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	var merged rpcwire.AutotileStatus
 	for _, res := range results {
 		s := res.val
 		merged.Enabled = merged.Enabled || s.Enabled
@@ -947,236 +549,135 @@ func (rt *Router) handleAutotileStatus(w http.ResponseWriter, r *http.Request) {
 			merged.LastError = s.LastError
 		}
 	}
-	rpcwire.WriteJSON(w, merged)
+	return merged, nil
 }
 
-func (rt *Router) handleAutotilePause(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.AutotilePauseRequest
-	if r.ContentLength != 0 {
-		if err := rpcwire.ReadJSON(r, &req); err != nil {
-			rpcwire.WriteError(w, err)
-			return
-		}
-	}
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	results := fanOut(rt, func(st *shardState) (struct{}, error) {
-		return struct{}{}, st.c.AutotilePauseContext(r.Context(), req.Reason)
-	})
-	if err := firstError(results); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	rpcwire.WriteJSON(w, struct{}{})
+func (rt *Router) AutotilePauseContext(ctx context.Context, reason string) error {
+	_, err := fanOut(rt, func(c *client.Client) (struct{}, error) { return struct{}{}, c.AutotilePauseContext(ctx, reason) })
+	return err
 }
 
-func (rt *Router) handleAutotileResume(w http.ResponseWriter, r *http.Request) {
-	if !rpcwire.UnaryBoundary(w, r) {
-		return
-	}
-	results := fanOut(rt, func(st *shardState) (struct{}, error) {
-		return struct{}{}, st.c.AutotileResumeContext(r.Context())
-	})
-	if err := firstError(results); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	rpcwire.WriteJSON(w, struct{}{})
+func (rt *Router) AutotileResumeContext(ctx context.Context) error {
+	_, err := fanOut(rt, func(c *client.Client) (struct{}, error) { return struct{}{}, c.AutotileResumeContext(ctx) })
+	return err
 }
 
-// prefixAll tags report lines with the shard they came from, so a
-// merged fsck/gc report still tells the operator where to look.
-func prefixAll(shard string, lines []string) []string {
-	out := make([]string, len(lines))
-	for i, l := range lines {
-		out[i] = shard + ": " + l
-	}
-	return out
-}
+// ---- api.Backend: streams scatter and relay ----
 
-// ---- streaming handlers: scatter-gather ----
-
-// shardStream classifies a remote cursor's terminal error exactly once:
-// a typed remote failure (the shard reported video_not_found, the
-// stream trailer carried a sentinel) passes through so the caller gets
-// the exact tasm.Err* identity; a transport-level death mid-stream —
-// the SIGKILLed-shard case — feeds the breaker and becomes
-// ErrShardUnavailable.
-type shardStream struct {
+// shardCursor relays one shard's remote cursor, classifying its
+// terminal error exactly once: a typed remote failure (the shard
+// reported video_not_found, the stream trailer carried a sentinel)
+// passes through so the caller gets the exact tasm.Err* identity; a
+// transport-level death mid-stream — the SIGKILLed-shard case — feeds
+// the breaker and becomes ErrShardUnavailable.
+type shardCursor[T any] struct {
+	api.Cursor[T]
 	rt         *Router
 	st         *shardState
 	classified error
 	done       bool
 }
 
-func (b *shardStream) translate(err error) error {
+func (c *shardCursor[T]) Err() error {
+	err := c.Cursor.Err()
 	if err == nil {
 		return nil
 	}
-	if !b.done {
-		b.done = true
-		b.classified = b.rt.classify(b.st, err)
+	if !c.done {
+		c.done = true
+		c.classified = c.rt.classify(c.st, err)
 	}
-	return b.classified
+	return c.classified
 }
 
-// scanSource adapts one shard's remote scan cursor into a merge source.
-type scanSource struct {
-	shardStream
-	cur *client.ScanCursor
-}
-
-func (s *scanSource) Next() bool                { return s.cur.Next() }
-func (s *scanSource) Result() core.RegionResult { return s.cur.Result() }
-func (s *scanSource) Err() error                { return s.translate(s.cur.Err()) }
-func (s *scanSource) Stats() core.ScanStats     { return s.cur.Stats() }
-func (s *scanSource) Close() error              { return s.cur.Close() }
-
-// frameSource adapts one shard's remote frame cursor the same way.
-type frameSource struct {
-	shardStream
-	cur *client.FrameCursor
-}
-
-func (s *frameSource) Next() bool               { return s.cur.Next() }
-func (s *frameSource) Result() core.FrameResult { return s.cur.Result() }
-func (s *frameSource) Err() error               { return s.translate(s.cur.Err()) }
-func (s *frameSource) Stats() core.ScanStats    { return s.cur.Stats() }
-func (s *frameSource) Close() error             { return s.cur.Close() }
-
-// handleScan is the scatter-gather core: one remote cursor per queried
-// video, opened concurrently against the owning shards, gathered
-// through the frame-order Merge, re-encoded in the framing the caller
-// negotiated (router→shard always runs binary; the two hops negotiate
-// independently). Opening fails the request whole — before the 200 —
-// while a shard dying mid-stream surfaces shard_unavailable through
-// the shared trailer after the regions already delivered.
-func (rt *Router) handleScan(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.ScanRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	if (req.SQL == "") == (req.Query == nil) {
-		rpcwire.WriteError(w, fmt.Errorf("%w: exactly one of sql and query must be set", rpcwire.ErrBadRequest))
-		return
-	}
-	ctx, cancel, err := rpcwire.RequestContext(r)
+// relay opens one stream against the shard owning video. (open returns
+// the client's concrete cursor so a failed open's nil never reaches an
+// interface.)
+func relay[T any, C api.Cursor[T]](rt *Router, video string, open func(c *client.Client) (C, error)) (*shardCursor[T], error) {
+	st, err := rt.owner(video)
 	if err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	defer cancel()
-	q := tasm.Query{}
-	if req.SQL != "" {
-		if q, err = tasm.ParseQuery(req.SQL); err != nil {
-			rpcwire.WriteError(w, fmt.Errorf("%w: %v", rpcwire.ErrBadRequest, err))
-			return
-		}
-	} else {
-		q = req.Query.ToQuery()
-	}
-
-	tr := obs.FromContext(r.Context())
-	vids := q.VideoList()
-	endRoute := tr.StartSpan("route")
-	srcs := make([]Source[core.RegionResult], len(vids))
-	errs := make([]error, len(vids))
-	var wg sync.WaitGroup
-	for i, video := range vids {
-		wg.Add(1)
-		go func(i int, video string) {
-			defer wg.Done()
-			st, err := rt.owner(video)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sq := q
-			sq.Video, sq.Videos = video, nil
-			t0 := time.Now()
-			cur, err := st.c.ScanCursor(ctx, sq)
-			rt.observeShard(st, t0)
-			if err != nil {
-				errs[i] = rt.classify(st, err)
-				return
-			}
-			srcs[i] = &scanSource{shardStream: shardStream{rt: rt, st: st}, cur: cur}
-		}(i, video)
-	}
-	wg.Wait()
-	endRoute("videos", strconv.Itoa(len(vids)))
-	for _, err := range errs {
-		if err != nil {
-			for _, s := range srcs {
-				if s != nil {
-					_ = s.Close()
-				}
-			}
-			rpcwire.WriteError(w, err)
-			return
-		}
-	}
-	merged := NewRegionMerge(srcs...)
-	defer merged.Close()
-	mergeStart := time.Now()
-	rpcwire.ServeStream(w, r, merged, func(m *Merge[core.RegionResult]) rpcwire.StreamLine {
-		reg := rpcwire.FromRegion(m.Result())
-		return rpcwire.StreamLine{Region: &reg}
-	})
-	tr.AddSpan("merge", mergeStart, time.Since(mergeStart), "sources", strconv.Itoa(len(srcs)))
-}
-
-// handleDecodeFrames relays a whole-frame stream from the owning shard
-// — the degenerate scatter (the owning set has size one), through the
-// same translation so a mid-stream shard death is shard_unavailable
-// here too.
-func (rt *Router) handleDecodeFrames(w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.DecodeFramesRequest
-	if err := rpcwire.ReadJSON(r, &req); err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	ctx, cancel, err := rpcwire.RequestContext(r)
-	if err != nil {
-		rpcwire.WriteError(w, err)
-		return
-	}
-	defer cancel()
-	tr := obs.FromContext(r.Context())
-	endRoute := tr.StartSpan("route")
-	st, err := rt.owner(req.Video)
-	if err != nil {
-		endRoute()
-		rpcwire.WriteError(w, err)
-		return
+		return nil, err
 	}
 	t0 := time.Now()
-	cur, err := st.c.DecodeFramesCursor(ctx, req.Video, req.From, req.To)
+	cur, err := open(st.c)
 	rt.observeShard(st, t0)
-	endRoute("video", req.Video, "shard", st.name)
 	if err != nil {
-		rpcwire.WriteError(w, rt.classify(st, err))
-		return
+		return nil, rt.classify(st, err)
 	}
-	src := &frameSource{shardStream: shardStream{rt: rt, st: st}, cur: cur}
-	defer src.Close()
-	mergeStart := time.Now()
-	rpcwire.ServeStream(w, r, src, func(s *frameSource) rpcwire.StreamLine {
-		fl := rpcwire.FromFrameResult(s.Result())
-		return rpcwire.StreamLine{Frame: &fl}
-	})
-	tr.AddSpan("merge", mergeStart, time.Since(mergeStart), "sources", "1")
+	return &shardCursor[T]{Cursor: cur, rt: rt, st: st}, nil
 }
 
-// ---- metrics ----
+// spanned times a routed stream from open to Close as one span on the
+// request trace: merge for a gathered read, relay for a live tail.
+type spanned[T any] struct {
+	api.Cursor[T]
+	end   func(attrs ...string)
+	attrs []string
+}
 
-// handleMetrics exports the routing tier's registry — per-shard health
-// and routed-request counters, request/TTFR/size histograms by
-// endpoint, per-shard latency histograms — in the same Prometheus text
-// format tasmd uses.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = rt.metrics.reg.WriteText(w)
+func (s *spanned[T]) Close() error {
+	err := s.Cursor.Close()
+	if s.end != nil {
+		s.end(s.attrs...)
+		s.end = nil
+	}
+	return err
+}
+
+// ScanCursor is the scatter-gather core: one remote cursor per queried
+// video, opened concurrently against the owning shards, gathered
+// through the frame-order Merge (router→shard always runs binary; the
+// caller's framing is negotiated independently). Opening fails the
+// request whole, while a shard dying mid-stream surfaces
+// shard_unavailable through the stream trailer after the regions
+// already delivered.
+func (rt *Router) ScanCursor(ctx context.Context, q tasm.Query) (api.Cursor[tasm.RegionResult], error) {
+	tr := obs.FromContext(ctx)
+	n := strconv.Itoa(len(q.VideoList()))
+	endRoute := tr.StartSpan("route")
+	cur, err := ScatterScan(q, func(sq tasm.Query) (Source[tasm.RegionResult], error) {
+		return api.Lift[tasm.RegionResult](relay[tasm.RegionResult](rt, sq.Video, func(c *client.Client) (*client.ScanCursor, error) {
+			return c.ScanCursor(ctx, sq)
+		}))
+	})
+	endRoute("videos", n)
+	if err != nil {
+		return nil, err
+	}
+	return &spanned[tasm.RegionResult]{cur, tr.StartSpan("merge"), []string{"sources", n}}, nil
+}
+
+// owned relays a whole-frame stream from the shard owning video — the
+// degenerate scatter (the owning set has size one), through the same
+// translation so a mid-stream shard death is shard_unavailable here
+// too — timed under the given span name.
+func (rt *Router) owned(ctx context.Context, video, span string, open func(c *client.Client) (*client.FrameCursor, error)) (api.Cursor[tasm.FrameResult], error) {
+	tr := obs.FromContext(ctx)
+	endRoute := tr.StartSpan("route")
+	cur, err := relay[tasm.FrameResult](rt, video, open)
+	if err != nil {
+		endRoute("video", video)
+		return nil, err
+	}
+	endRoute("video", video, "shard", cur.st.name)
+	return &spanned[tasm.FrameResult]{cur, tr.StartSpan(span), []string{"shard", cur.st.name}}, nil
+}
+
+func (rt *Router) DecodeFramesCursor(ctx context.Context, video string, from, to int) (api.Cursor[tasm.FrameResult], error) {
+	return rt.owned(ctx, video, "merge", func(c *client.Client) (*client.FrameCursor, error) {
+		return c.DecodeFramesCursor(ctx, video, from, to)
+	})
+}
+
+// Subscribe relays a live tail from the owning shard: one upstream
+// subscription held for as long as the caller stays connected. A SIGHUP
+// map reload does not touch it (in-flight requests keep the shard
+// client they started with; only new subscriptions see the new map),
+// and a shard SIGKILLed mid-tail surfaces shard_unavailable through the
+// stream's error trailer, the client's cue to resubscribe from its
+// watermark once the shard returns.
+func (rt *Router) Subscribe(ctx context.Context, video string, from int) (api.Cursor[tasm.FrameResult], error) {
+	return rt.owned(ctx, video, "relay", func(c *client.Client) (*client.FrameCursor, error) {
+		return c.Subscribe(ctx, video, from)
+	})
 }

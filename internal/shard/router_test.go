@@ -394,7 +394,7 @@ func TestBreakerFailsFastAndFleetKeepsServing(t *testing.T) {
 	// the first failed request.
 	down := fmt.Sprintf("tasm_router_shard_up{shard=%q} 0", fmt.Sprintf("s%d", victim))
 	waitFor(t, "breaker to open", func() bool {
-		if _, err := f.c.Meta("cam0"); !errors.Is(err, tasm.ErrShardUnavailable) {
+		if _, err := f.c.MetaContext(context.Background(), "cam0"); !errors.Is(err, tasm.ErrShardUnavailable) {
 			return false
 		}
 		res, err := http.Get(f.ts.URL + "/metrics")
@@ -408,7 +408,7 @@ func TestBreakerFailsFastAndFleetKeepsServing(t *testing.T) {
 
 	// Fail-fast: no dials once the breaker is open.
 	start := time.Now()
-	if _, err := f.c.Meta("cam0"); !errors.Is(err, tasm.ErrShardUnavailable) {
+	if _, err := f.c.MetaContext(context.Background(), "cam0"); !errors.Is(err, tasm.ErrShardUnavailable) {
 		t.Fatalf("got %v", err)
 	}
 	if d := time.Since(start); d > time.Second {
@@ -416,7 +416,7 @@ func TestBreakerFailsFastAndFleetKeepsServing(t *testing.T) {
 	}
 
 	// The rest of the fleet is untouched.
-	if _, err := f.c.Meta(survivor); err != nil {
+	if _, err := f.c.MetaContext(context.Background(), survivor); err != nil {
 		t.Fatalf("surviving shard's video failed: %v", err)
 	}
 	if _, _, err := f.c.ScanSQLContext(context.Background(),
@@ -468,7 +468,7 @@ func TestBreakerFailsFastAndFleetKeepsServing(t *testing.T) {
 func TestRouterUnaryAndFanout(t *testing.T) {
 	f := newFleet(t, "cam0", "cam1", "cam2")
 
-	videos, err := f.c.Videos()
+	videos, err := f.c.VideosContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,23 +481,23 @@ func TestRouterUnaryAndFanout(t *testing.T) {
 		t.Fatalf("videoinfo: %+v %d %v %v", meta, bytes, labels, err)
 	}
 
-	rep, err := f.c.FSCK()
+	rep, err := f.c.FSCKContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Videos != 3 || len(rep.Problems) != 0 {
 		t.Fatalf("merged fsck: %+v", rep)
 	}
-	if _, err := f.c.GC(); err != nil {
+	if _, err := f.c.GCContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	// Typed errors from a healthy shard pass through with their exact
 	// identity — not found is not an outage.
-	if _, err := f.c.Meta("missing"); !errors.Is(err, tasm.ErrVideoNotFound) {
+	if _, err := f.c.MetaContext(context.Background(), "missing"); !errors.Is(err, tasm.ErrVideoNotFound) {
 		t.Fatalf("routed miss: %v", err)
 	}
-	if err := f.c.AutotilePause("x"); !errors.Is(err, tasm.ErrAutotileDisabled) {
+	if err := f.c.AutotilePauseContext(context.Background(), "x"); !errors.Is(err, tasm.ErrAutotileDisabled) {
 		t.Fatalf("fanout pause on autotile-less shards: %v", err)
 	}
 
@@ -515,10 +515,10 @@ func TestRouterUnaryAndFanout(t *testing.T) {
 	}
 
 	// Delete through the router and the catalog shrinks.
-	if err := f.c.DeleteVideo("cam2"); err != nil {
+	if err := f.c.DeleteVideoContext(context.Background(), "cam2"); err != nil {
 		t.Fatal(err)
 	}
-	videos, err = f.c.Videos()
+	videos, err = f.c.VideosContext(context.Background())
 	if err != nil || len(videos) != 2 {
 		t.Fatalf("catalog after delete: %v %v", videos, err)
 	}
@@ -554,9 +554,71 @@ func TestMapReloadKeepsOwnership(t *testing.T) {
 	// The fleet still serves (cam0/cam1 are on s0/s1 in this layout or
 	// the spare now owns them empty — either way the router must answer).
 	for _, v := range f.videos {
-		_, err := f.c.Meta(v)
+		_, err := f.c.MetaContext(context.Background(), v)
 		if err != nil && !errors.Is(err, tasm.ErrVideoNotFound) {
 			t.Fatalf("after reload, Meta(%s): %v", v, err)
 		}
+	}
+}
+
+// TestDeadlineForwardedToShards: the caller's Tasm-Deadline-Ms bounds
+// every hop, not just the router's boundary check. A shard that stalls
+// on a unary call must see the deadline header (so it can bound its own
+// work) and the router must answer deadline_exceeded once it passes,
+// not wait out the stall. The 10 s client timeout is a hang detector
+// (200x the deadline), not a latency bound.
+func TestDeadlineForwardedToShards(t *testing.T) {
+	release := make(chan struct{})
+	sawDeadline := make(chan string, 1)
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/healthz" {
+			io.WriteString(w, `{"ok":true}`)
+			return
+		}
+		select {
+		case sawDeadline <- r.Header.Get("Tasm-Deadline-Ms"):
+		default:
+		}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer stalled.Close()
+	defer close(release)
+
+	m, err := shard.NewMap([]shard.MapEntry{{Name: "s0", Addr: stalled.URL}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := shard.NewRouter(m, shard.RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ts := httptest.NewServer(rt)
+	defer ts.Close()
+
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/videos/cam0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Tasm-Deadline-Ms", "50")
+	res, err := (&http.Client{Timeout: 10 * time.Second}).Do(req)
+	if err != nil {
+		t.Fatalf("router outlived the caller's deadline: %v", err)
+	}
+	body, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(body), `"deadline_exceeded"`) {
+		t.Fatalf("status %d body %s, want 504 deadline_exceeded", res.StatusCode, body)
+	}
+	select {
+	case h := <-sawDeadline:
+		if h == "" {
+			t.Fatal("shard hop carried no Tasm-Deadline-Ms header")
+		}
+	default:
+		t.Fatal("the stalled shard was never called")
 	}
 }

@@ -2,7 +2,6 @@ package tilestore
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -234,72 +233,6 @@ func TestDeleteVideoReapsAfterRelease(t *testing.T) {
 	lease.Release()
 	if _, err := os.Stat(filepath.Join(s.Root(), "v")); !os.IsNotExist(err) {
 		t.Fatalf("video dir survives delete + release: %v", err)
-	}
-}
-
-// TestLegacyStoreMigration simulates a store written before version
-// directories existed: the manifest records Retiles=1 but the tiles live
-// under the unversioned frames_a-b name. Reads must fall back, snapshots
-// must lease the legacy dir, and the next re-tile must migrate to a
-// versioned dir and reap the legacy one.
-func TestLegacyStoreMigration(t *testing.T) {
-	s, _ := Open(t.TempDir())
-	meta := buildVideo(t, s, "v")
-	w, h := meta.W, meta.H
-
-	// Forge the legacy state: bump SOT 0's retile counter in the manifest
-	// without touching the directory layout (old code re-tiled in place).
-	meta.SOTs[0].Retiles = 1
-	data, err := json.MarshalIndent(&meta, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(s.Root(), "v", "manifest.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen to drop any in-memory state and read through the fallback.
-	s2, err := Open(s.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.Meta("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SOTs[0].Retiles != 1 {
-		t.Fatalf("Retiles = %d", got.SOTs[0].Retiles)
-	}
-	if _, err := s2.ReadTile("v", got.SOTs[0], 0); err != nil {
-		t.Fatalf("legacy dir not readable via fallback: %v", err)
-	}
-	if n, err := s2.VideoBytes("v"); err != nil || n <= 0 {
-		t.Fatalf("VideoBytes over legacy store: %d, %v", n, err)
-	}
-	if rep, err := s2.FSCK(); err != nil || !rep.OK() {
-		t.Fatalf("fsck over legacy store: %+v, %v", rep.Problems, err)
-	}
-
-	// First re-tile migrates: new versioned dir, legacy dir reaped.
-	_, lease, err := s2.Snapshot("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l22, _ := layout.Uniform(2, 2, cons(w, h))
-	tiles, _ := container.EncodeTiled(makeFrames(w, h, 10, 0), l22, 10, params())
-	if err := s2.ReplaceSOT("v", 0, l22, tiles); err != nil {
-		t.Fatal(err)
-	}
-	legacy := filepath.Join(s.Root(), "v", "frames_0-9")
-	if _, err := os.Stat(legacy); err != nil {
-		t.Fatalf("leased legacy dir reaped early: %v", err)
-	}
-	lease.Release()
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatal("legacy dir not reaped after migration")
-	}
-	if _, err := os.Stat(filepath.Join(s.Root(), "v", "frames_0-9.r2")); err != nil {
-		t.Fatalf("migrated version dir missing: %v", err)
 	}
 }
 

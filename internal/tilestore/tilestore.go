@@ -442,26 +442,17 @@ func sotDirName(m SOTMeta) string {
 	return fmt.Sprintf("frames_%d-%d.r%d", m.From, m.To-1, m.Retiles)
 }
 
-func legacyDirName(m SOTMeta) string { return fmt.Sprintf("frames_%d-%d", m.From, m.To-1) }
-
 func (s *Store) sotDir(video string, m SOTMeta) string {
 	return filepath.Join(s.videoDir(video), sotDirName(m))
 }
 
-// resolveSOTDir locates the directory holding a SOT version's tiles,
-// falling back to the legacy unversioned name for stores written before
-// directories were versioned (manifest says Retiles > 0 but the tiles
-// still live under frames_<a>-<b>).
+// resolveSOTDir locates the directory holding a SOT version's tiles;
+// a manifest entry whose directory is missing is a typed failure fsck
+// and repair report rather than a read error deep in a scan.
 func (s *Store) resolveSOTDir(video string, m SOTMeta) (string, error) {
 	dir := s.sotDir(video, m)
 	if _, err := s.fs.Stat(dir); err == nil {
 		return dir, nil
-	}
-	if m.Retiles > 0 {
-		legacy := filepath.Join(s.videoDir(video), legacyDirName(m))
-		if _, err := s.fs.Stat(legacy); err == nil {
-			return legacy, nil
-		}
 	}
 	return "", fmt.Errorf("tilestore: video %q SOT %d version %d: no tile directory", video, m.ID, m.Retiles)
 }
