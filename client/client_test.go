@@ -8,11 +8,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/tasm-repro/tasm/client"
+	"github.com/tasm-repro/tasm/internal/apiguard"
 	"github.com/tasm-repro/tasm/internal/rpcwire"
 )
 
@@ -203,5 +205,13 @@ func TestNewValidation(t *testing.T) {
 	//lint:ignore SA1019 the deprecated shim must keep working
 	if _, err := client.New("host:1234"); err != nil {
 		t.Fatalf("deprecated Dial shim broken: %v", err)
+	}
+}
+
+// TestOneSpelling: the client has no context-less twin of any XContext
+// method (see the root package's test of the same name).
+func TestOneSpelling(t *testing.T) {
+	if twins := apiguard.ContextTwins(reflect.TypeOf((*client.Client)(nil))); len(twins) > 0 {
+		t.Errorf("*client.Client has both X and XContext for %v", twins)
 	}
 }

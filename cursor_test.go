@@ -43,9 +43,10 @@ func newAPIManager(t *testing.T) *tasm.StorageManager {
 // end: ScanSQLCursor yields the exact regions ScanSQL materializes, in
 // the same order, with working Close-after-drain semantics.
 func TestPublicCursorStreamsScan(t *testing.T) {
+	ctx := context.Background()
 	sm := newAPIManager(t)
 	const sql = "SELECT car FROM traffic WHERE 0 <= t < 30"
-	ref, _, err := sm.ScanSQL(sql)
+	ref, _, err := sm.ScanSQLContext(ctx, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +82,9 @@ func TestPublicCursorStreamsScan(t *testing.T) {
 
 // TestPublicFrameCursor streams whole frames through the exported API.
 func TestPublicFrameCursor(t *testing.T) {
+	ctx := context.Background()
 	sm := newAPIManager(t)
-	ref, _, err := sm.DecodeFrames("traffic", 0, 30)
+	ref, _, err := sm.DecodeFramesContext(ctx, "traffic", 0, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +110,16 @@ func TestPublicFrameCursor(t *testing.T) {
 // failures surfaced through the public API.
 func TestPublicErrorTaxonomy(t *testing.T) {
 	sm := newAPIManager(t)
-	if _, _, err := sm.ScanSQL("SELECT car FROM nosuch"); !errors.Is(err, tasm.ErrVideoNotFound) {
+	if _, _, err := sm.ScanSQLContext(context.Background(), "SELECT car FROM nosuch"); !errors.Is(err, tasm.ErrVideoNotFound) {
 		t.Errorf("missing video: %v, want tasm.ErrVideoNotFound", err)
 	}
-	if _, _, err := sm.ScanSQL("SELECT car FROM traffic WHERE 50 <= t < 60"); !errors.Is(err, tasm.ErrInvalidRange) {
+	if _, _, err := sm.ScanSQLContext(context.Background(), "SELECT car FROM traffic WHERE 50 <= t < 60"); !errors.Is(err, tasm.ErrInvalidRange) {
 		t.Errorf("bad range: %v, want tasm.ErrInvalidRange", err)
 	}
 	if _, err := sm.DesignLayout("traffic", 99, []string{"car"}); !errors.Is(err, tasm.ErrSOTNotFound) {
 		t.Errorf("missing SOT: %v, want tasm.ErrSOTNotFound", err)
 	}
-	if _, err := sm.Ingest("traffic", nil, 10); !errors.Is(err, tasm.ErrNoFrames) {
+	if _, err := sm.IngestContext(context.Background(), "traffic", nil, 10); !errors.Is(err, tasm.ErrNoFrames) {
 		t.Errorf("empty ingest: %v, want tasm.ErrNoFrames", err)
 	}
 	if err := sm.DeleteVideo("nosuch"); !errors.Is(err, tasm.ErrVideoNotFound) {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "tasm-amber-*")
 	if err != nil {
 		log.Fatal(err)
@@ -44,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sm.Close()
-	if _, err := sm.Ingest("highway-cam-3", video.Frames(0, n), video.Spec.FPS); err != nil {
+	if _, err := sm.IngestContext(ctx, "highway-cam-3", video.Frames(0, n), video.Spec.FPS); err != nil {
 		log.Fatal(err)
 	}
 
@@ -83,7 +85,7 @@ func main() {
 			}
 		}
 
-		res, st, err := sm.ScanSQL(sql)
+		res, st, err := sm.ScanSQLContext(ctx, sql)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -95,7 +97,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		retiled, err := lazy.ObserveQuery(q)
+		retiled, err := lazy.ObserveQueryContext(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "tasm-edge-*")
 	if err != nil {
 		log.Fatal(err)
@@ -66,7 +68,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sm.Close()
-	if _, err := sm.IngestTiled("lot-cam", video.Frames(0, n), video.Spec.FPS, layouts); err != nil {
+	if _, err := sm.IngestTiledContext(ctx, "lot-cam", video.Frames(0, n), video.Spec.FPS, layouts); err != nil {
 		log.Fatal(err)
 	}
 	if err := sm.AddDetections("lot-cam", detections); err != nil {
@@ -81,7 +83,7 @@ func main() {
 	}
 	defer smPlain.Close()
 	defer os.RemoveAll(dir + "-plain")
-	if _, err := smPlain.Ingest("lot-cam", video.Frames(0, n), video.Spec.FPS); err != nil {
+	if _, err := smPlain.IngestContext(ctx, "lot-cam", video.Frames(0, n), video.Spec.FPS); err != nil {
 		log.Fatal(err)
 	}
 	if err := smPlain.AddDetections("lot-cam", detections); err != nil {
@@ -90,11 +92,11 @@ func main() {
 
 	// --- The very first query ------------------------------------------
 	const sql = "SELECT car FROM lot-cam WHERE 0 <= t < 120"
-	_, tiledStats, err := sm.ScanSQL(sql)
+	_, tiledStats, err := sm.ScanSQLContext(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, plainStats, err := smPlain.ScanSQL(sql)
+	_, plainStats, err := smPlain.ScanSQLContext(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "tasm-birds-*")
 	if err != nil {
 		log.Fatal(err)
@@ -42,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sm.Close()
-	if _, err := sm.Ingest("feeder-cam", video.Frames(0, n), video.Spec.FPS); err != nil {
+	if _, err := sm.IngestContext(ctx, "feeder-cam", video.Frames(0, n), video.Spec.FPS); err != nil {
 		log.Fatal(err)
 	}
 
@@ -73,7 +75,7 @@ func main() {
 		"SELECT label='bird' AND label='feeder' FROM feeder-cam WHERE 30 <= t < 90",
 	}
 	fmt.Println("before tiling:")
-	runAll(sm, queries)
+	runAll(ctx, sm, queries)
 
 	// Tile the whole video around birds (the class every query targets).
 	meta, err := sm.Meta("feeder-cam")
@@ -88,17 +90,17 @@ func main() {
 		if l.IsSingle() {
 			continue
 		}
-		if _, err := sm.RetileSOT("feeder-cam", sot.ID, l); err != nil {
+		if _, err := sm.RetileSOTContext(ctx, "feeder-cam", sot.ID, l); err != nil {
 			log.Fatal(err)
 		}
 	}
 	fmt.Println("\nafter tiling around birds:")
-	runAll(sm, queries)
+	runAll(ctx, sm, queries)
 }
 
-func runAll(sm *tasm.StorageManager, queries []string) {
+func runAll(ctx context.Context, sm *tasm.StorageManager, queries []string) {
 	for _, sql := range queries {
-		res, st, err := sm.ScanSQL(sql)
+		res, st, err := sm.ScanSQLContext(ctx, sql)
 		if err != nil {
 			log.Fatal(err)
 		}

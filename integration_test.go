@@ -14,6 +14,7 @@ import (
 // ingest, detect, query, adapt, restart, query again — verifying that tile
 // layouts, the semantic index, and detection coverage all persist.
 func TestLifecycleAcrossRestart(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	v, err := scene.Generate(scene.Spec{
 		Name: "cam", W: 192, H: 96, FPS: 10, DurationSec: 4,
@@ -33,7 +34,7 @@ func TestLifecycleAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sm.Ingest("cam", v.Frames(0, n), v.Spec.FPS); err != nil {
+	if _, err := sm.IngestContext(ctx, "cam", v.Frames(0, n), v.Spec.FPS); err != nil {
 		t.Fatal(err)
 	}
 	det := &detect.Oracle{Lat: detect.DefaultLatencies()}
@@ -44,7 +45,7 @@ func TestLifecycleAcrossRestart(t *testing.T) {
 	if err := sm.MarkDetected("cam", scene.Car, 0, n); err != nil {
 		t.Fatal(err)
 	}
-	res1, st1, err := sm.ScanSQL("SELECT car FROM cam WHERE 0 <= t < 20")
+	res1, st1, err := sm.ScanSQLContext(ctx, "SELECT car FROM cam WHERE 0 <= t < 20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestLifecycleAcrossRestart(t *testing.T) {
 	if err != nil || len(cars) == 0 {
 		t.Errorf("detections lost: %d %v", len(cars), err)
 	}
-	res2, st2, err := sm2.ScanSQL("SELECT car FROM cam WHERE 0 <= t < 20")
+	res2, st2, err := sm2.ScanSQLContext(ctx, "SELECT car FROM cam WHERE 0 <= t < 20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +116,7 @@ func TestLifecycleAcrossRestart(t *testing.T) {
 // TestTwoVideosIndependent verifies per-video isolation of layouts, index
 // entries, and storage.
 func TestTwoVideosIndependent(t *testing.T) {
+	ctx := context.Background()
 	sm, err := Open(t.TempDir(), WithGOPLength(10), WithMinTileSize(32, 32))
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +128,7 @@ func TestTwoVideosIndependent(t *testing.T) {
 			Classes: []scene.ClassMix{{Class: scene.Car, Count: 2, SizeFrac: 0.15}},
 			Seed:    uint64(i + 10),
 		})
-		if _, err := sm.Ingest(name, v.Frames(0, 20), 10); err != nil {
+		if _, err := sm.IngestContext(ctx, name, v.Frames(0, 20), 10); err != nil {
 			t.Fatal(err)
 		}
 		for f := 0; f < 20; f++ {
@@ -141,7 +143,7 @@ func TestTwoVideosIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !l.IsSingle() {
-		if _, err := sm.RetileSOT("east", 0, l); err != nil {
+		if _, err := sm.RetileSOTContext(ctx, "east", 0, l); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,6 +162,7 @@ func TestTwoVideosIndependent(t *testing.T) {
 // TestManifestCorruptionSurfaces verifies that a corrupted catalog is
 // reported as an error rather than silently misread.
 func TestManifestCorruptionSurfaces(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	sm, err := Open(dir, WithGOPLength(10), WithMinTileSize(32, 32))
 	if err != nil {
@@ -170,7 +173,7 @@ func TestManifestCorruptionSurfaces(t *testing.T) {
 		Classes: []scene.ClassMix{{Class: scene.Car, Count: 1, SizeFrac: 0.15}},
 		Seed:    4,
 	})
-	if _, err := sm.Ingest("cam", v.Frames(0, 10), 10); err != nil {
+	if _, err := sm.IngestContext(ctx, "cam", v.Frames(0, 10), 10); err != nil {
 		t.Fatal(err)
 	}
 	sm.Close()
@@ -187,7 +190,7 @@ func TestManifestCorruptionSurfaces(t *testing.T) {
 	if _, err := sm2.Meta("cam"); err == nil {
 		t.Error("corrupt manifest read without error")
 	}
-	if _, _, err := sm2.ScanSQL("SELECT car FROM cam"); err == nil {
+	if _, _, err := sm2.ScanSQLContext(ctx, "SELECT car FROM cam"); err == nil {
 		t.Error("scan over corrupt manifest succeeded")
 	}
 }

@@ -22,6 +22,7 @@ func testConfig() core.Config {
 // truth indexed for cars and people.
 func newManager(t *testing.T, cfg core.Config) *core.Manager {
 	t.Helper()
+	ctx := context.Background()
 	m, err := core.Open(t.TempDir(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func newManager(t *testing.T, cfg core.Config) *core.Manager {
 		t.Fatal(err)
 	}
 	frames := v.Frames(0, v.Spec.NumFrames())
-	if _, err := m.Ingest("traffic", frames, v.Spec.FPS); err != nil {
+	if _, err := m.IngestContext(ctx, "traffic", frames, v.Spec.FPS); err != nil {
 		t.Fatal(err)
 	}
 	for f := 0; f < v.Spec.NumFrames(); f++ {
@@ -111,13 +112,14 @@ func TestRecorderObservationAndHeat(t *testing.T) {
 }
 
 func TestRetilerAppliesObservedActions(t *testing.T) {
+	ctx := context.Background()
 	m := newManager(t, testConfig())
 	rt := NewRetiler(m, eagerAdvisor(m), Config{})
 	m.SetQueryObserver(rt)
 	defer rt.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := m.Scan(carQuery()); err != nil {
+		if _, _, err := m.ScanContext(ctx, carQuery()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,6 +154,7 @@ func TestRetilerAppliesObservedActions(t *testing.T) {
 }
 
 func TestRetilerBackgroundLoop(t *testing.T) {
+	ctx := context.Background()
 	m := newManager(t, testConfig())
 	rt := NewRetiler(m, eagerAdvisor(m), Config{Interval: 10 * time.Millisecond})
 	m.SetQueryObserver(rt)
@@ -159,7 +162,7 @@ func TestRetilerBackgroundLoop(t *testing.T) {
 	defer rt.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := m.Scan(carQuery()); err != nil {
+		if _, _, err := m.ScanContext(ctx, carQuery()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,12 +175,13 @@ func TestRetilerBackgroundLoop(t *testing.T) {
 	}
 	// Scans concurrent with (and after) the background re-tile keep
 	// working.
-	if _, _, err := m.Scan(carQuery()); err != nil {
+	if _, _, err := m.ScanContext(ctx, carQuery()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRetilerPauseResume(t *testing.T) {
+	ctx := context.Background()
 	m := newManager(t, testConfig())
 	rt := NewRetiler(m, eagerAdvisor(m), Config{})
 	m.SetQueryObserver(rt)
@@ -185,7 +189,7 @@ func TestRetilerPauseResume(t *testing.T) {
 
 	rt.Pause("maintenance")
 	for i := 0; i < 3; i++ {
-		if _, _, err := m.Scan(carQuery()); err != nil {
+		if _, _, err := m.ScanContext(ctx, carQuery()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,13 +212,14 @@ func TestRetilerPauseResume(t *testing.T) {
 }
 
 func TestDeleteVideoClearsObservationState(t *testing.T) {
+	ctx := context.Background()
 	m := newManager(t, testConfig())
 	rt := NewRetiler(m, eagerAdvisor(m), Config{})
 	m.SetQueryObserver(rt)
 	defer rt.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := m.Scan(carQuery()); err != nil {
+		if _, _, err := m.ScanContext(ctx, carQuery()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,11 +245,12 @@ func TestDeleteVideoClearsObservationState(t *testing.T) {
 // compareScans asserts two managers return byte-identical results for q.
 func compareScans(t *testing.T, label string, a, b *core.Manager, q query.Query) {
 	t.Helper()
-	want, _, err := a.Scan(q)
+	ctx := context.Background()
+	want, _, err := a.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := b.Scan(q)
+	got, _, err := b.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +311,7 @@ func TestScanResultsIdenticalUnderAutotile(t *testing.T) {
 }
 
 func TestRetilerIOBudgetThrottles(t *testing.T) {
+	ctx := context.Background()
 	m := newManager(t, testConfig())
 	// 1 byte/sec budget: the throttle sleep after one action would be
 	// enormous — Close must abandon it promptly.
@@ -312,7 +319,7 @@ func TestRetilerIOBudgetThrottles(t *testing.T) {
 	m.SetQueryObserver(rt)
 	rt.Start()
 	for i := 0; i < 3; i++ {
-		if _, _, err := m.Scan(carQuery()); err != nil {
+		if _, _, err := m.ScanContext(ctx, carQuery()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -338,7 +338,7 @@ func runRegretWithEta(o Options, m *micro, queries []workload.Query, eta float64
 	costs := make([]time.Duration, len(queries))
 	retiles := 0
 	for i, q := range queries {
-		_, st, err := mgr.Scan(q.ToQuery())
+		_, st, err := mgr.ScanContext(context.Background(), q.ToQuery())
 		if err != nil {
 			return nil, 0, err
 		}

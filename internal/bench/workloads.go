@@ -86,7 +86,7 @@ func templateDirFor(o Options, m *micro, root string) (string, error) {
 		return "", err
 	}
 	frames := m.video.Frames(0, m.numFrames)
-	if _, err := mgr.Ingest(m.preset.Spec.Name, frames, o.FPS); err != nil {
+	if _, err := mgr.IngestContext(context.Background(), m.preset.Spec.Name, frames, o.FPS); err != nil {
 		mgr.Close()
 		return "", err
 	}
@@ -203,7 +203,7 @@ func runStrategy(o Options, m *micro, queries []workload.Query, strategy string,
 
 	costs := make([]time.Duration, len(queries))
 	for i, q := range queries {
-		_, st, err := mgr.Scan(q.ToQuery())
+		_, st, err := mgr.ScanContext(context.Background(), q.ToQuery())
 		if err != nil {
 			return nil, 0, err
 		}
@@ -502,7 +502,7 @@ func runPreTile(o Options, m *micro, queries []workload.Query, strat, root strin
 		if l.IsSingle() {
 			continue
 		}
-		rs, err := mgr.RetileSOT(video, sot.ID, l)
+		rs, err := mgr.RetileSOTContext(context.Background(), video, sot.ID, l)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -513,7 +513,7 @@ func runPreTile(o Options, m *micro, queries []workload.Query, strat, root strin
 	rg := policy.NewRegret(mgr.Config().Model)
 	costs := make([]time.Duration, len(queries))
 	for i, q := range queries {
-		_, st, err := mgr.Scan(q.ToQuery())
+		_, st, err := mgr.ScanContext(context.Background(), q.ToQuery())
 		if err != nil {
 			return nil, 0, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -11,12 +12,13 @@ import (
 // consistent results (the tile store serializes against retiles; scans
 // themselves share nothing mutable).
 func TestConcurrentScans(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	q, err := query.Parse("SELECT car FROM traffic WHERE 0 <= t < 20")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := m.Scan(q)
+	ref, _, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestConcurrentScans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				res, _, err := m.Scan(q)
+				res, _, err := m.ScanContext(ctx, q)
 				if err != nil {
 					errs <- err
 					return
@@ -57,6 +59,7 @@ func TestConcurrentScans(t *testing.T) {
 // B-tree serializes access, so both must complete without error and the
 // scan results must stay within the indexed universe.
 func TestConcurrentMetadataAndScan(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	q, _ := query.Parse("SELECT car FROM traffic WHERE 0 <= t < 20")
 	var wg sync.WaitGroup
@@ -74,7 +77,7 @@ func TestConcurrentMetadataAndScan(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if _, _, err := m.Scan(q); err != nil {
+			if _, _, err := m.ScanContext(ctx, q); err != nil {
 				errs <- err
 				return
 			}

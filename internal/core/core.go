@@ -85,18 +85,18 @@ func (c Config) Constraints(w, h int) layout.Constraints {
 	return layout.Constraints{FrameW: w, FrameH: h, Align: c.Align, MinWidth: c.MinTileW, MinHeight: c.MinTileH}
 }
 
-// Manager is the tile-aware storage manager. Reads (Scan, DecodeFrames,
-// StitchSOT, VideoBytes) pin the SOT versions of their catalog snapshot
-// with store read leases, so they run fully concurrent with RetileSOT:
-// the store keeps a superseded version's tile files on disk until the
-// last lease on it drops (MVCC; see internal/tilestore).
+// Manager is the tile-aware storage manager. Reads (ScanContext,
+// DecodeFramesContext, StitchSOTContext, VideoBytes) pin the SOT versions
+// of their catalog snapshot with store read leases, so they run fully
+// concurrent with RetileSOTContext: the store keeps a superseded version's
+// tile files on disk until the last lease on it drops (MVCC; see tilestore).
 type Manager struct {
 	cfg   Config
 	store *tilestore.Store
 	index *semindex.Index
 	cache *tilecache.Cache // nil when Config.CacheBudget <= 0
 
-	// retileMu serializes RetileSOT per video (map[string]*sync.Mutex):
+	// retileMu serializes RetileSOTContext per video (map[string]*sync.Mutex):
 	// concurrent retiles of one video would base their re-encodes on each
 	// other's uncommitted state. Readers never take these locks.
 	retileMu sync.Map
@@ -122,7 +122,7 @@ type Manager struct {
 	observer QueryObserver
 
 	// hub wakes /v1/subscribe tails as live-append commits land, and
-	// ingest is the bounded per-video commit queue behind AppendGOP
+	// ingest is the bounded per-video commit queue behind AppendGOPContext
 	// (see internal/live and live.go in this package).
 	hub    *live.Hub
 	ingest *live.Ingestor
@@ -183,14 +183,10 @@ type IngestStats struct {
 	SOTs       int
 }
 
-// Ingest stores frames as an untiled video: one SOT per GOP, each with the
-// 1×1 layout ω, so later re-tiling of any SOT is independent of the others.
-func (m *Manager) Ingest(video string, frames []*frame.Frame, fps int) (IngestStats, error) {
-	return m.IngestContext(context.Background(), video, frames, fps)
-}
-
-// IngestContext is Ingest under a context: cancellation aborts the encode
-// within one frame's work and leaves no partial video behind.
+// IngestContext stores frames as an untiled video: one SOT per GOP, each
+// with the 1×1 layout ω, so later re-tiling of any SOT is independent of
+// the others. Cancellation aborts the encode within one frame's work and
+// leaves no partial video behind.
 func (m *Manager) IngestContext(ctx context.Context, video string, frames []*frame.Frame, fps int) (IngestStats, error) {
 	n := len(frames)
 	if n == 0 {
@@ -208,16 +204,13 @@ func (m *Manager) IngestContext(ctx context.Context, video string, frames []*fra
 	return m.IngestTiledContext(ctx, video, frames, fps, layouts)
 }
 
-// IngestTiled stores frames with a caller-chosen layout per SOT (SOTs are
-// GOP-length chunks). This is the path edge cameras use to upload pre-tiled
-// video (paper §4.3, "Edge tiling").
-func (m *Manager) IngestTiled(video string, frames []*frame.Frame, fps int, layouts []layout.Layout) (IngestStats, error) {
-	return m.IngestTiledContext(context.Background(), video, frames, fps, layouts)
-}
-
-// IngestTiledContext is IngestTiled under a context. The encode — the
-// expensive phase — checks the context every frame; the final catalog
-// commit is atomic and is not interrupted once entered.
+// IngestTiledContext stores frames with a caller-chosen layout per SOT
+// (SOTs are GOP-length chunks). This is the path edge cameras use to upload
+// pre-tiled video (paper §4.3, "Edge tiling"). Every frame's size and every
+// layout is checked before any encode, so a malformed request fails with
+// tasmerr.ErrInvalidRange having done no work. The encode — the expensive
+// phase — checks the context every frame; the final catalog commit is
+// atomic and is not interrupted once entered.
 func (m *Manager) IngestTiledContext(ctx context.Context, video string, frames []*frame.Frame, fps int, layouts []layout.Layout) (IngestStats, error) {
 	n := len(frames)
 	if n == 0 {
@@ -230,21 +223,28 @@ func (m *Manager) IngestTiledContext(ctx context.Context, video string, frames [
 	}
 	numSOTs := (n + gop - 1) / gop
 	if len(layouts) != numSOTs {
-		return IngestStats{}, fmt.Errorf("core: %d layouts for %d SOTs", len(layouts), numSOTs)
+		return IngestStats{}, fmt.Errorf("core: ingest %q: %w: %d layouts for %d SOTs", video, tasmerr.ErrInvalidRange, len(layouts), numSOTs)
+	}
+	for i, f := range frames {
+		if f.W != w || f.H != h {
+			return IngestStats{}, fmt.Errorf("core: ingest %q: %w: frame %d is %dx%d, frame 0 is %dx%d",
+				video, tasmerr.ErrInvalidRange, i, f.W, f.H, w, h)
+		}
 	}
 	cons := m.cfg.Constraints(w, h)
+	for si, l := range layouts {
+		if err := l.Validate(cons); err != nil {
+			return IngestStats{}, fmt.Errorf("core: ingest %q: %w: SOT %d: %w", video, tasmerr.ErrInvalidRange, si, err)
+		}
+	}
 	meta := tilestore.VideoMeta{
 		Name: video, W: w, H: h, FPS: fps, GOPLength: gop, FrameCount: n,
 	}
 	var sotTiles [][]*container.Video
 	start := time.Now()
-	for si := 0; si < numSOTs; si++ {
+	for si, l := range layouts {
 		from := si * gop
 		to := min(from+gop, n)
-		l := layouts[si]
-		if err := l.Validate(cons); err != nil {
-			return IngestStats{}, fmt.Errorf("core: SOT %d: %w", si, err)
-		}
 		tiles, err := container.EncodeTiledContext(ctx, frames[from:to], l, fps, m.cfg.Codec)
 		if err != nil {
 			return IngestStats{}, fmt.Errorf("core: SOT %d: %w", si, err)
@@ -316,12 +316,30 @@ type ScanStats struct {
 	CacheEvictions int
 }
 
+// Add folds o into s. Every field is additive (walls sum sequential
+// per-video or per-chunk work), so this is the one place merged,
+// multi-video and live-tail stats are summed: a new counter is added here
+// once (TestScanStatsAddCoversEveryField fails until it is).
+func (s *ScanStats) Add(o ScanStats) {
+	s.IndexWall += o.IndexWall
+	s.DecodeWall += o.DecodeWall
+	s.AssembleWall += o.AssembleWall
+	s.PixelsDecoded += o.PixelsDecoded
+	s.TilesDecoded += o.TilesDecoded
+	s.FramesDecoded += o.FramesDecoded
+	s.RegionsReturned += o.RegionsReturned
+	s.SOTsTouched += o.SOTsTouched
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CacheEvictions += o.CacheEvictions
+}
+
 // clampRange applies the storage manager's shared frame-range semantics,
-// used identically by Scan, DecodeFrames, and QueryDemand: first clamp the
-// request to the video (from < 0 becomes 0; to < 0 — the "to the end"
-// sentinel — or to > frameCount becomes frameCount), then validate — a
-// range that is empty or inverted after clamping is an error, never a
-// silent empty result.
+// used identically by ScanContext, DecodeFramesContext, and QueryDemand:
+// first clamp the request to the video (from < 0 becomes 0; to < 0 — the
+// "to the end" sentinel — or to > frameCount becomes frameCount), then
+// validate — a range that is empty or inverted after clamping is an error,
+// never a silent empty result.
 func clampRange(video string, from, to, frameCount int) (int, int, error) {
 	cf, ct := from, to
 	if cf < 0 {
@@ -336,26 +354,22 @@ func clampRange(video string, from, to, frameCount int) (int, int, error) {
 	return cf, ct, nil
 }
 
-// Scan implements the paper's Scan(video, L, T) access method: it consults
-// the semantic index for the boxes matching the label predicate within the
-// time range, determines which tiles contain them, decodes only those
-// tiles, and returns the matching pixel regions.
-func (m *Manager) Scan(q query.Query) ([]RegionResult, ScanStats, error) {
-	return m.ScanContext(context.Background(), q)
-}
-
 // unboundedWindow admits every SOT to the decode pipeline at once — the
 // materializing wrappers' setting, preserving the pre-cursor batch
 // behavior of flattening all (SOT, tile) jobs across the worker pool.
 const unboundedWindow = 1 << 30
 
-// ScanContext is Scan under a context: cancellation or deadline expiry
-// stops in-flight tile decodes within one frame's work, releases the
-// request's read leases, and returns an error wrapping ctx.Err().
+// ScanContext implements the paper's Scan(video, L, T) access method: it
+// consults the semantic index for the boxes matching the label predicate
+// within the time range, determines which tiles contain them, decodes only
+// those tiles, and returns the matching pixel regions. Cancellation or
+// deadline expiry stops in-flight tile decodes within one frame's work,
+// releases the request's read leases, and returns an error wrapping
+// ctx.Err().
 //
 // The whole request runs under a store snapshot lease: the tile files of
-// every SOT version the catalog snapshot names stay on disk until Scan
-// finishes, even if a concurrent RetileSOT swaps the live layout. The
+// every SOT version the catalog snapshot names stay on disk until the scan
+// finishes, even if a concurrent re-tile swaps the live layout. The
 // request's frame range follows the clamp-then-validate semantics of
 // clampRange. Results are produced by draining a ScanCursor (with an
 // unbounded decode-ahead window, since everything is materialized
@@ -420,19 +434,10 @@ func planSOT(sot tilestore.SOTMeta, qf costmodel.QueryFrames) *sotPlan {
 	return p
 }
 
-// applyDecodeResult folds one decode job's outcome into st and returns
-// the job's error, if any. Shared by the batch and streaming paths so
-// their accounting cannot diverge.
-func (m *Manager) applyDecodeResult(st *ScanStats, r tileDecodeResult) error {
-	if r.err != nil {
-		return r.err
-	}
-	m.foldDecodeStats(st, r)
-	return nil
-}
-
 // foldDecodeStats folds a successful decode job's counters into st;
 // errored jobs contribute nothing (their error is surfaced separately).
+// Shared by the batch and streaming paths so their accounting cannot
+// diverge.
 func (m *Manager) foldDecodeStats(st *ScanStats, r tileDecodeResult) {
 	if r.err != nil {
 		return
@@ -694,8 +699,8 @@ func (m *Manager) QueryDemand(q query.Query) (map[int]costmodel.QueryFrames, map
 	if err != nil {
 		// The what-if analysis replays recorded workloads; a query whose
 		// range has since become degenerate (e.g. the video was truncated)
-		// simply contributes no demand rather than aborting the whole
-		// planning pass — unlike Scan/DecodeFrames, which reject it.
+		// simply contributes no demand rather than aborting the whole planning
+		// pass — unlike ScanContext/DecodeFramesContext, which reject it.
 		return map[int]costmodel.QueryFrames{}, map[int]tilestore.SOTMeta{}, nil
 	}
 	regions, _, err := m.regionsForQuery(q, from, to)
@@ -719,21 +724,15 @@ func (m *Manager) QueryDemand(q query.Query) (map[int]costmodel.QueryFrames, map
 	return demands, sots, nil
 }
 
-// DecodeFrames decodes and reassembles full frames [from, to), regardless
-// of layout. This is the path detection runs on (a detector needs whole
-// frames). Tile decodes across all touched SOTs share the scan pipeline:
-// they are served from the decoded-tile cache when possible and fan out
-// over Config.Parallelism workers. Like Scan, the request runs under a
-// store snapshot lease and applies the clamp-then-validate range
-// semantics of clampRange.
-func (m *Manager) DecodeFrames(video string, from, to int) ([]*frame.Frame, ScanStats, error) {
-	return m.DecodeFramesContext(context.Background(), video, from, to)
-}
-
-// DecodeFramesContext is DecodeFrames under a context; like ScanContext
-// it is a thin wrapper draining a FrameCursor (unbounded decode-ahead
-// window), so cancellation stops in-flight decodes promptly and
-// releases the read leases.
+// DecodeFramesContext decodes and reassembles full frames [from, to),
+// regardless of layout. This is the path detection runs on (a detector
+// needs whole frames). Tile decodes across all touched SOTs share the scan
+// pipeline: they are served from the decoded-tile cache when possible and
+// fan out over Config.Parallelism workers. Like ScanContext, the request
+// runs under a store snapshot lease, applies the clamp-then-validate range
+// semantics of clampRange, and is a thin wrapper draining a FrameCursor
+// (unbounded decode-ahead window), so cancellation stops in-flight decodes
+// promptly and releases the read leases.
 func (m *Manager) DecodeFramesContext(ctx context.Context, video string, from, to int) ([]*frame.Frame, ScanStats, error) {
 	c, err := m.frameCursor(ctx, video, from, to, unboundedWindow)
 	if err != nil {
@@ -818,9 +817,9 @@ func assembleFrameSOT(w, h int, js []*dfJob) []*frame.Frame {
 
 // decodeFramesLeased is the batch whole-frame engine, reading every tile
 // through the caller's snapshot lease; from/to must already be clamped
-// and valid. RetileSOT uses it so its decode runs under the same lease
-// its commit is validated against (the public DecodeFrames path streams
-// through FrameCursor instead).
+// and valid. RetileSOTContext uses it so its decode runs under the same
+// lease its commit is validated against (the public DecodeFramesContext
+// path streams through FrameCursor instead).
 func (m *Manager) decodeFramesLeased(ctx context.Context, video string, meta tilestore.VideoMeta, lease *tilestore.Lease, from, to int) ([]*frame.Frame, ScanStats, error) {
 	var st ScanStats
 	sots := meta.SOTsInRange(from, to)
@@ -843,8 +842,9 @@ func (m *Manager) decodeFramesLeased(ctx context.Context, video string, meta til
 	}
 	var firstErr error
 	for _, j := range jobs {
-		if err := m.applyDecodeResult(&st, j.res); err != nil && firstErr == nil {
-			firstErr = err
+		m.foldDecodeStats(&st, j.res)
+		if firstErr == nil {
+			firstErr = j.res.err
 		}
 	}
 	if firstErr != nil {
@@ -892,26 +892,24 @@ func (m *Manager) retileLock(video string) *sync.Mutex {
 	return mu.(*sync.Mutex)
 }
 
-// RetileSOT re-encodes one SOT under a new layout: decode all current
-// tiles, reassemble frames, encode with the new layout, commit a new
-// version directory, and refresh the semantic index's tile pointers for
-// boxes in the range. Scans concurrent with the re-tile are unaffected:
+// RetileSOTContext re-encodes one SOT under a new layout: decode all
+// current tiles, reassemble frames, encode with the new layout, commit a
+// new version directory, and refresh the semantic index's tile pointers
+// for boxes in the range. Scans concurrent with the re-tile are unaffected:
 // they hold leases on the version their snapshot names, and the old
 // version's files survive until the last lease drops. Re-tiles of one
-// video are serialized against each other.
+// video are serialized against each other. A layout that does not fit the
+// video fails with tasmerr.ErrInvalidRange before any decode.
 //
-// If the pointer refresh fails after the swap has committed, RetileSOT
-// retries it once and then returns a *PointerRefreshError — distinct from
-// a failed re-tile — so the caller knows the new layout is live and can
-// run RepairPointers.
-func (m *Manager) RetileSOT(video string, sotID int, l layout.Layout) (RetileStats, error) {
-	return m.RetileSOTContext(context.Background(), video, sotID, l)
-}
-
-// RetileSOTContext is RetileSOT under a context: the decode and re-encode
-// phases abort within one frame's work of a cancellation and nothing is
-// committed; once the tile swap starts committing it is not interrupted
-// (the commit itself is atomic under the store's catalog lock).
+// The decode and re-encode phases abort within one frame's work of a
+// cancellation and nothing is committed; once the tile swap starts
+// committing it is not interrupted (the commit itself is atomic under the
+// store's catalog lock).
+//
+// If the pointer refresh fails after the swap has committed, it is retried
+// once and then reported as a *PointerRefreshError — distinct from a failed
+// re-tile — so the caller knows the new layout is live and can run
+// RepairPointers.
 func (m *Manager) RetileSOTContext(ctx context.Context, video string, sotID int, l layout.Layout) (RetileStats, error) {
 	mu := m.retileLock(video)
 	mu.Lock()
@@ -928,19 +926,12 @@ func (m *Manager) RetileSOTContext(ctx context.Context, video string, sotID int,
 		return rs, err
 	}
 	defer lease.Release()
-	var sot tilestore.SOTMeta
-	found := false
-	for _, s := range meta.SOTs {
-		if s.ID == sotID {
-			sot, found = s, true
-			break
-		}
-	}
-	if !found {
-		return rs, fmt.Errorf("core: %w: video %q has no SOT %d", tasmerr.ErrSOTNotFound, video, sotID)
+	sot, err := meta.SOTByID(sotID)
+	if err != nil {
+		return rs, err
 	}
 	if err := l.Validate(m.cfg.Constraints(meta.W, meta.H)); err != nil {
-		return rs, err
+		return rs, fmt.Errorf("core: retile %s SOT %d: %w: %w", video, sotID, tasmerr.ErrInvalidRange, err)
 	}
 	if l.Equal(sot.L) {
 		return rs, nil // already in the requested layout
@@ -1048,33 +1039,26 @@ func (m *Manager) refreshPointers(video string, sot tilestore.SOTMeta, l layout.
 	return nil
 }
 
-// StitchSOT performs homomorphic stitching of a SOT's tiles into a single
-// stream (paper §3.4.5: queries for whole frames). The tile reads run
-// under a snapshot lease, so a concurrent re-tile cannot swap the files
-// mid-stitch.
-func (m *Manager) StitchSOT(video string, sotID int) (*container.Stitched, error) {
-	return m.StitchSOTContext(context.Background(), video, sotID)
-}
-
-// StitchSOTContext is StitchSOT under a context, checked before the
-// snapshot and between tile reads.
+// StitchSOTContext performs homomorphic stitching of a SOT's tiles into a
+// single stream (paper §3.4.5: queries for whole frames). The tile reads
+// run under a snapshot lease, so a concurrent re-tile cannot swap the
+// files mid-stitch; ctx is checked before the snapshot and between tile
+// reads.
 func (m *Manager) StitchSOTContext(ctx context.Context, video string, sotID int) (*container.Stitched, error) {
 	meta, lease, err := m.store.SnapshotContext(ctx, video)
 	if err != nil {
 		return nil, err
 	}
 	defer lease.Release()
-	for _, sot := range meta.SOTs {
-		if sot.ID != sotID {
-			continue
-		}
-		tiles, err := lease.ReadAllTiles(ctx, sot)
-		if err != nil {
-			return nil, err
-		}
-		return container.Stitch(sot.L, tiles)
+	sot, err := meta.SOTByID(sotID)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: %w: video %q has no SOT %d", tasmerr.ErrSOTNotFound, video, sotID)
+	tiles, err := lease.ReadAllTiles(ctx, sot)
+	if err != nil {
+		return nil, err
+	}
+	return container.Stitch(sot.L, tiles)
 }
 
 // VideoBytes returns the video's total storage footprint.

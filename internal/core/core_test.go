@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,6 +25,7 @@ func testConfig() Config {
 // truth indexed for cars and people.
 func newManager(t *testing.T) (*Manager, *scene.Video) {
 	t.Helper()
+	ctx := context.Background()
 	m, err := Open(t.TempDir(), testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +43,7 @@ func newManager(t *testing.T) (*Manager, *scene.Video) {
 		t.Fatal(err)
 	}
 	frames := v.Frames(0, v.Spec.NumFrames())
-	if _, err := m.Ingest("traffic", frames, v.Spec.FPS); err != nil {
+	if _, err := m.IngestContext(ctx, "traffic", frames, v.Spec.FPS); err != nil {
 		t.Fatal(err)
 	}
 	for f := 0; f < v.Spec.NumFrames(); f++ {
@@ -77,31 +79,33 @@ func TestIngestCreatesSOTsPerGOP(t *testing.T) {
 }
 
 func TestIngestValidation(t *testing.T) {
+	ctx := context.Background()
 	m, err := Open(t.TempDir(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := m.Ingest("v", nil, 30); err == nil {
+	if _, err := m.IngestContext(ctx, "v", nil, 30); err == nil {
 		t.Error("empty ingest succeeded")
 	}
 	frames := []*frame.Frame{frame.New(64, 64)}
-	if _, err := m.IngestTiled("v", frames, 30, nil); err == nil {
+	if _, err := m.IngestTiledContext(ctx, "v", frames, 30, nil); err == nil {
 		t.Error("layout count mismatch accepted")
 	}
 	bad := layout.Layout{RowHeights: []int{10, 54}, ColWidths: []int{64}}
-	if _, err := m.IngestTiled("v", frames, 30, []layout.Layout{bad}); err == nil {
+	if _, err := m.IngestTiledContext(ctx, "v", frames, 30, []layout.Layout{bad}); err == nil {
 		t.Error("invalid layout accepted")
 	}
 }
 
 func TestScanReturnsQueriedPixels(t *testing.T) {
+	ctx := context.Background()
 	m, v := newManager(t)
 	q, err := query.Parse("SELECT car FROM traffic WHERE 0 <= t < 10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, st, err := m.Scan(q)
+	results, st, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +141,10 @@ func TestScanReturnsQueriedPixels(t *testing.T) {
 }
 
 func TestScanDecodesFewerPixelsAfterTiling(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	q, _ := query.Parse("SELECT car FROM traffic WHERE 0 <= t < 10")
-	_, before, err := m.Scan(q)
+	_, before, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +162,11 @@ func TestScanDecodesFewerPixelsAfterTiling(t *testing.T) {
 	if l.IsSingle() {
 		t.Fatal("partition produced no tiling; test video too dense")
 	}
-	if _, err := m.RetileSOT("traffic", 0, l); err != nil {
+	if _, err := m.RetileSOTContext(ctx, "traffic", 0, l); err != nil {
 		t.Fatal(err)
 	}
 
-	_, after, err := m.Scan(q)
+	_, after, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +174,17 @@ func TestScanDecodesFewerPixelsAfterTiling(t *testing.T) {
 		t.Errorf("tiling did not reduce pixels: %d -> %d", before.PixelsDecoded, after.PixelsDecoded)
 	}
 	// Results must still be correct.
-	results, _, _ := m.Scan(q)
+	results, _, _ := m.ScanContext(ctx, q)
 	if len(results) == 0 {
 		t.Error("no results after retile")
 	}
 }
 
 func TestScanEmptyAndMissing(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	q, _ := query.Parse("SELECT bird FROM traffic")
-	results, st, err := m.Scan(q)
+	results, st, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,18 +192,19 @@ func TestScanEmptyAndMissing(t *testing.T) {
 		t.Errorf("absent label scan: %d results, %d pixels", len(results), st.PixelsDecoded)
 	}
 	q2, _ := query.Parse("SELECT car FROM nothere")
-	if _, _, err := m.Scan(q2); err == nil {
+	if _, _, err := m.ScanContext(ctx, q2); err == nil {
 		t.Error("missing video scan succeeded")
 	}
 	// Inverted/degenerate ranges are errors under the shared
 	// clamp-then-validate semantics (see TestRangeSemantics).
 	q3, _ := query.Parse("SELECT car FROM traffic WHERE 20 <= t < 20")
-	if _, _, err := m.Scan(q3); err == nil {
+	if _, _, err := m.ScanContext(ctx, q3); err == nil {
 		t.Error("degenerate range scan succeeded")
 	}
 }
 
 func TestScanConjunctivePredicate(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	// Add a synthetic "red" attribute overlapping the first car on frame 0.
 	cars, _ := m.Index().LookupBoxes("traffic", "car", 0, 1)
@@ -211,7 +218,7 @@ func TestScanConjunctivePredicate(t *testing.T) {
 	m.AddMetadata("traffic", 0, "red", red.X0, red.Y0, red.X1, red.Y1)
 
 	q, _ := query.Parse("SELECT car AND red FROM traffic WHERE t < 1")
-	results, _, err := m.Scan(q)
+	results, _, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +256,9 @@ func TestQueryDemand(t *testing.T) {
 }
 
 func TestDecodeFramesReassembles(t *testing.T) {
+	ctx := context.Background()
 	m, v := newManager(t)
-	frames, st, err := m.DecodeFrames("traffic", 5, 12)
+	frames, st, err := m.DecodeFramesContext(ctx, "traffic", 5, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,17 +274,18 @@ func TestDecodeFramesReassembles(t *testing.T) {
 			t.Errorf("frame %d PSNR = %.1f", 5+i, psnr)
 		}
 	}
-	if _, _, err := m.DecodeFrames("traffic", 20, 10); err == nil {
+	if _, _, err := m.DecodeFramesContext(ctx, "traffic", 20, 10); err == nil {
 		t.Error("inverted range accepted")
 	}
 }
 
 func TestRetileSOTUpdatesPointers(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	boxes, _ := m.Index().LookupBoxes("traffic", "car", 0, 10)
 	meta, _ := m.Meta("traffic")
 	l, _ := layout.Partition(boxes, layout.Fine, m.Config().Constraints(meta.W, meta.H))
-	if _, err := m.RetileSOT("traffic", 0, l); err != nil {
+	if _, err := m.RetileSOTContext(ctx, "traffic", 0, l); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ = m.Meta("traffic")
@@ -299,27 +308,28 @@ func TestRetileSOTUpdatesPointers(t *testing.T) {
 		}
 	}
 	// Retiling to the same layout is a no-op.
-	rs, err := m.RetileSOT("traffic", 0, l)
+	rs, err := m.RetileSOTContext(ctx, "traffic", 0, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.EncodeWall != 0 {
 		t.Error("same-layout retile re-encoded")
 	}
-	if _, err := m.RetileSOT("traffic", 99, l); err == nil {
+	if _, err := m.RetileSOTContext(ctx, "traffic", 99, l); err == nil {
 		t.Error("absent SOT retile succeeded")
 	}
 }
 
 func TestStitchSOT(t *testing.T) {
+	ctx := context.Background()
 	m, v := newManager(t)
 	// Tile SOT 1 first so stitching is non-trivial.
 	boxes, _ := m.Index().LookupBoxes("traffic", "person", 10, 20)
 	meta, _ := m.Meta("traffic")
 	l, _ := layout.Partition(boxes, layout.Fine, m.Config().Constraints(meta.W, meta.H))
-	m.RetileSOT("traffic", 1, l)
+	m.RetileSOTContext(ctx, "traffic", 1, l)
 
-	s, err := m.StitchSOT("traffic", 1)
+	s, err := m.StitchSOTContext(ctx, "traffic", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +342,7 @@ func TestStitchSOT(t *testing.T) {
 			t.Errorf("stitched frame %d PSNR %.1f", 10+i, psnr)
 		}
 	}
-	if _, err := m.StitchSOT("traffic", 12); err == nil {
+	if _, err := m.StitchSOTContext(ctx, "traffic", 12); err == nil {
 		t.Error("absent SOT stitch succeeded")
 	}
 }
@@ -361,6 +371,7 @@ func TestVideoBytesPositive(t *testing.T) {
 }
 
 func TestParallelDecodeMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	// The parallel-decode extension must return identical regions and
 	// identical work statistics (wall time aside) to sequential decode.
 	cfgPar := testConfig()
@@ -379,7 +390,7 @@ func TestParallelDecodeMatchesSequential(t *testing.T) {
 			},
 			Seed: 2,
 		})
-		if _, err := m.Ingest("traffic", v.Frames(0, 20), 10); err != nil {
+		if _, err := m.IngestContext(ctx, "traffic", v.Frames(0, 20), 10); err != nil {
 			t.Fatal(err)
 		}
 		for f := 0; f < 20; f++ {
@@ -391,7 +402,7 @@ func TestParallelDecodeMatchesSequential(t *testing.T) {
 		boxes, _ := m.Index().LookupBoxes("traffic", "car", 0, 10)
 		l, _ := layout.Partition(boxes, layout.Fine, m.Config().Constraints(192, 96))
 		if !l.IsSingle() {
-			m.RetileSOT("traffic", 0, l)
+			m.RetileSOTContext(ctx, "traffic", 0, l)
 		}
 		return m, func() { m.Close() }
 	}
@@ -402,11 +413,11 @@ func TestParallelDecodeMatchesSequential(t *testing.T) {
 	defer closePar()
 
 	q, _ := query.Parse("SELECT car FROM traffic WHERE 0 <= t < 20")
-	resSeq, stSeq, err := mSeq.Scan(q)
+	resSeq, stSeq, err := mSeq.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resPar, stPar, err := mPar.Scan(q)
+	resPar, stPar, err := mPar.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,6 +444,7 @@ func TestParallelDecodeMatchesSequential(t *testing.T) {
 }
 
 func TestScanErrorOnCorruptTile(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	meta, _ := m.Meta("traffic")
 	// Corrupt the first SOT's tile file on disk.
@@ -446,7 +458,7 @@ func TestScanErrorOnCorruptTile(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := query.Parse("SELECT car FROM traffic WHERE 0 <= t < 10")
-	if _, _, err := m.Scan(q); err == nil {
+	if _, _, err := m.ScanContext(ctx, q); err == nil {
 		t.Error("scan of corrupt tile succeeded")
 	}
 	_ = meta

@@ -17,9 +17,10 @@ import (
 // the same work counters (Scan is itself a cursor drain, but this pins
 // the cursor's public Next/Result protocol against the slice API).
 func TestScanCursorMatchesScan(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	q := mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 30")
-	ref, refSt, err := m.Scan(q)
+	ref, refSt, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,9 @@ func TestScanCursorMatchesScan(t *testing.T) {
 // TestFrameCursorMatchesDecodeFrames asserts the whole-frame stream
 // yields DecodeFrames' exact output with correct absolute indices.
 func TestFrameCursorMatchesDecodeFrames(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
-	ref, _, err := m.DecodeFrames("traffic", 5, 25)
+	ref, _, err := m.DecodeFramesContext(ctx, "traffic", 5, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestScanCancelReleasesLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	lastSOT := meta.SOTs[len(meta.SOTs)-1].ID
-	if _, err := m.RetileSOT("traffic", lastSOT, l2); err != nil {
+	if _, err := m.RetileSOTContext(context.Background(), "traffic", lastSOT, l2); err != nil {
 		t.Fatal(err)
 	}
 	if rep, err := m.Store().GC(); err != nil || len(rep.Deferred) == 0 {
@@ -153,6 +155,7 @@ func TestScanCancelReleasesLeases(t *testing.T) {
 // tears the pipeline down promptly, releases the leases, records
 // ErrCursorClosed, and leaves the manager fully usable.
 func TestCursorCloseBeforeExhaustion(t *testing.T) {
+	ctx := context.Background()
 	m := newCachedManager(t, 64<<20, 2)
 	q := mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 30")
 	cur, err := m.ScanCursor(context.Background(), q)
@@ -179,7 +182,7 @@ func TestCursorCloseBeforeExhaustion(t *testing.T) {
 		t.Fatalf("fsck reports %d leases after Close", fr.Leases)
 	}
 	// The manager (pool, cache, store) is intact: a fresh scan answers.
-	res, _, err := m.Scan(q)
+	res, _, err := m.ScanContext(ctx, q)
 	if err != nil || len(res) == 0 {
 		t.Fatalf("scan after Close: %d results, err %v", len(res), err)
 	}
@@ -232,11 +235,12 @@ func TestScanContextCancelledMidPipeline(t *testing.T) {
 // exactly once in total: concurrent requests singleflight onto one
 // decode, later requests hit the cache.
 func TestSingleflightDecodesOnce(t *testing.T) {
+	ctx := context.Background()
 	// The reference count of distinct tiles the query needs, measured on
 	// an identical (deterministic, seed-fixed) manager.
 	ref := newCachedManager(t, 256<<20, 2)
 	q := mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 30")
-	_, refSt, err := ref.Scan(q)
+	_, refSt, err := ref.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +260,7 @@ func TestSingleflightDecodesOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			_, st, err := m.Scan(q)
+			_, st, err := m.ScanContext(ctx, q)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && firstErr == nil {
@@ -278,20 +282,21 @@ func TestSingleflightDecodesOnce(t *testing.T) {
 // TestTypedErrors pins the taxonomy: each failure class matches its
 // sentinel through errors.Is across the layers.
 func TestTypedErrors(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
-	if _, _, err := m.Scan(mustQuery(t, "SELECT car FROM nosuch")); !errors.Is(err, tasmerr.ErrVideoNotFound) {
+	if _, _, err := m.ScanContext(ctx, mustQuery(t, "SELECT car FROM nosuch")); !errors.Is(err, tasmerr.ErrVideoNotFound) {
 		t.Errorf("scan of missing video: %v, want ErrVideoNotFound", err)
 	}
-	if _, _, err := m.Scan(mustQuery(t, "SELECT car FROM traffic WHERE 99 <= t < 120")); !errors.Is(err, tasmerr.ErrInvalidRange) {
+	if _, _, err := m.ScanContext(ctx, mustQuery(t, "SELECT car FROM traffic WHERE 99 <= t < 120")); !errors.Is(err, tasmerr.ErrInvalidRange) {
 		t.Errorf("out-of-range scan: %v, want ErrInvalidRange", err)
 	}
-	if _, _, err := m.DecodeFrames("traffic", 40, 50); !errors.Is(err, tasmerr.ErrInvalidRange) {
+	if _, _, err := m.DecodeFramesContext(ctx, "traffic", 40, 50); !errors.Is(err, tasmerr.ErrInvalidRange) {
 		t.Errorf("out-of-range decode: %v, want ErrInvalidRange", err)
 	}
-	if _, err := m.RetileSOT("traffic", 99, layout.Single(192, 96)); !errors.Is(err, tasmerr.ErrSOTNotFound) {
+	if _, err := m.RetileSOTContext(ctx, "traffic", 99, layout.Single(192, 96)); !errors.Is(err, tasmerr.ErrSOTNotFound) {
 		t.Errorf("retile of missing SOT: %v, want ErrSOTNotFound", err)
 	}
-	if _, err := m.Ingest("empty", nil, 10); !errors.Is(err, tasmerr.ErrNoFrames) {
+	if _, err := m.IngestContext(ctx, "empty", nil, 10); !errors.Is(err, tasmerr.ErrNoFrames) {
 		t.Errorf("empty ingest: %v, want ErrNoFrames", err)
 	}
 	if err := m.DeleteVideo("nosuch"); !errors.Is(err, tasmerr.ErrVideoNotFound) {

@@ -159,9 +159,6 @@ func (c *cursor[T]) send(v T) error {
 
 // newCursor builds an idle cursor bound to ctx.
 func newCursor[T any](m *Manager, ctx context.Context) *cursor[T] {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cctx, cancel := context.WithCancel(ctx)
 	return &cursor[T]{
 		m:      m,
@@ -361,7 +358,7 @@ func (c *cursor[T]) pump(lease *tilestore.Lease, sots []pipelineSOT, windowSize 
 }
 
 // ScanCursor starts a streaming Scan: it plans the query under a snapshot
-// lease exactly like Scan, then decodes in the background and yields
+// lease exactly like ScanContext, then decodes in the background and yields
 // RegionResults in frame order as each SOT's tiles land. Constructor
 // errors (unknown video, invalid range, index failure) are returned
 // immediately with no lease held; decode-time errors surface through
@@ -487,8 +484,8 @@ type FrameResult struct {
 
 // FrameCursor starts a streaming DecodeFrames: whole frames [from, to)
 // are yielded in order as each SOT's tiles decode, under the same
-// snapshot-lease and clamp-then-validate semantics as DecodeFrames. The
-// caller must either drain the cursor or Close it.
+// snapshot-lease and clamp-then-validate semantics as DecodeFramesContext.
+// The caller must either drain the cursor or Close it.
 func (m *Manager) FrameCursor(ctx context.Context, video string, from, to int) (*FrameCursor, error) {
 	return m.frameCursor(ctx, video, from, to, 0)
 }

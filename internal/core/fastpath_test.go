@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 // cache enabled and the given scan parallelism.
 func newCachedManager(t *testing.T, budget int64, parallelism int) *Manager {
 	t.Helper()
+	ctx := context.Background()
 	cfg := testConfig()
 	cfg.CacheBudget = budget
 	cfg.Parallelism = parallelism
@@ -35,7 +37,7 @@ func newCachedManager(t *testing.T, budget int64, parallelism int) *Manager {
 		t.Fatal(err)
 	}
 	frames := v.Frames(0, v.Spec.NumFrames())
-	if _, err := m.Ingest("traffic", frames, v.Spec.FPS); err != nil {
+	if _, err := m.IngestContext(ctx, "traffic", frames, v.Spec.FPS); err != nil {
 		t.Fatal(err)
 	}
 	for f := 0; f < v.Spec.NumFrames(); f++ {
@@ -80,9 +82,10 @@ func sameResults(t *testing.T, a, b []RegionResult) {
 // order, and that repeated scans return the identical sequence (the seed
 // iterated a map of frame offsets, so order varied run to run).
 func TestScanStableFrameOrder(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	q := mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 30")
-	ref, _, err := m.Scan(q)
+	ref, _, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestScanStableFrameOrder(t *testing.T) {
 		}
 	}
 	for rep := 0; rep < 5; rep++ {
-		res, _, err := m.Scan(q)
+		res, _, err := m.ScanContext(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,14 +109,15 @@ func TestScanStableFrameOrder(t *testing.T) {
 // TestParallelScanMatchesSequential asserts the fan-out pipeline produces
 // exactly the sequential results.
 func TestParallelScanMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	seq, _ := newManager(t)
 	par := newCachedManager(t, 0, 4)
 	q := mustQuery(t, "SELECT car OR person FROM traffic WHERE 0 <= t < 30")
-	a, _, err := seq.Scan(q)
+	a, _, err := seq.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := par.Scan(q)
+	b, sb, err := par.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +131,17 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 // results to the cold scan that populated the cache, and that the second
 // scan actually hit.
 func TestWarmScanMatchesCold(t *testing.T) {
+	ctx := context.Background()
 	m := newCachedManager(t, 64<<20, 2)
 	q := mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 30")
-	cold, cs, err := m.Scan(q)
+	cold, cs, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs.CacheHits != 0 || cs.CacheMisses == 0 || cs.TilesDecoded == 0 {
 		t.Fatalf("cold scan stats: %+v", cs)
 	}
-	warm, ws, err := m.Scan(q)
+	warm, ws, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,17 +159,18 @@ func TestWarmScanMatchesCold(t *testing.T) {
 // TestWarmScanMatchesUncachedManager cross-checks the cache against a
 // manager with caching disabled over an identically generated store.
 func TestWarmScanMatchesUncachedManager(t *testing.T) {
+	ctx := context.Background()
 	cached := newCachedManager(t, 64<<20, 1)
 	plain, _ := newManager(t)
 	q := mustQuery(t, "SELECT person FROM traffic WHERE 5 <= t < 25")
-	if _, _, err := cached.Scan(q); err != nil { // populate
+	if _, _, err := cached.ScanContext(ctx, q); err != nil { // populate
 		t.Fatal(err)
 	}
-	warm, _, err := cached.Scan(q)
+	warm, _, err := cached.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := plain.Scan(q)
+	ref, _, err := plain.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +181,11 @@ func TestWarmScanMatchesUncachedManager(t *testing.T) {
 // is never served after RetileSOT: the next scan decodes fresh tiles, and
 // repeated scans then agree with it.
 func TestCacheInvalidationOnRetile(t *testing.T) {
+	ctx := context.Background()
 	m := newCachedManager(t, 64<<20, 2)
 	// Query confined to SOT 1 (frames 10..20).
 	q := mustQuery(t, "SELECT car FROM traffic WHERE 10 <= t < 20")
-	if _, _, err := m.Scan(q); err != nil { // cache old-layout decodes
+	if _, _, err := m.ScanContext(ctx, q); err != nil { // cache old-layout decodes
 		t.Fatal(err)
 	}
 	meta, err := m.Meta("traffic")
@@ -189,11 +196,11 @@ func TestCacheInvalidationOnRetile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RetileSOT("traffic", 1, l); err != nil {
+	if _, err := m.RetileSOTContext(ctx, "traffic", 1, l); err != nil {
 		t.Fatal(err)
 	}
 
-	first, fs, err := m.Scan(q)
+	first, fs, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +210,7 @@ func TestCacheInvalidationOnRetile(t *testing.T) {
 	if fs.TilesDecoded == 0 {
 		t.Fatal("scan after retile decoded nothing")
 	}
-	second, ss, err := m.Scan(q)
+	second, ss, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +223,10 @@ func TestCacheInvalidationOnRetile(t *testing.T) {
 // TestDeleteVideoDropsCache asserts DeleteVideo removes both the files and
 // the cached decodes.
 func TestDeleteVideoDropsCache(t *testing.T) {
+	ctx := context.Background()
 	m := newCachedManager(t, 64<<20, 1)
 	q := mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 20")
-	if _, _, err := m.Scan(q); err != nil {
+	if _, _, err := m.ScanContext(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.CacheStats(); st.Entries == 0 {
@@ -230,7 +238,7 @@ func TestDeleteVideoDropsCache(t *testing.T) {
 	if st := m.CacheStats(); st.Entries != 0 {
 		t.Fatalf("cache still holds %d entries after DeleteVideo", st.Entries)
 	}
-	if _, _, err := m.Scan(q); err == nil {
+	if _, _, err := m.ScanContext(ctx, q); err == nil {
 		t.Fatal("scan of deleted video succeeded")
 	}
 	// The semantic index is cleaned too: a re-ingest under the same name
@@ -242,10 +250,10 @@ func TestDeleteVideoDropsCache(t *testing.T) {
 	for i := range fresh {
 		fresh[i] = frame.New(192, 96)
 	}
-	if _, err := m.Ingest("traffic", fresh, 10); err != nil {
+	if _, err := m.IngestContext(ctx, "traffic", fresh, 10); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := m.Scan(q)
+	res, _, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +265,15 @@ func TestDeleteVideoDropsCache(t *testing.T) {
 // TestCachedDecodeFramesMatchesUncached asserts the whole-frame decode path
 // (detector input) is identical with and without the cache, warm and cold.
 func TestCachedDecodeFramesMatchesUncached(t *testing.T) {
+	ctx := context.Background()
 	cached := newCachedManager(t, 64<<20, 2)
 	plain, _ := newManager(t)
-	ref, _, err := plain.DecodeFrames("traffic", 3, 27)
+	ref, _, err := plain.DecodeFramesContext(ctx, "traffic", 3, 27)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
-		got, st, err := cached.DecodeFrames("traffic", 3, 27)
+		got, st, err := cached.DecodeFramesContext(ctx, "traffic", 3, 27)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,10 +298,11 @@ func TestCachedDecodeFramesMatchesUncached(t *testing.T) {
 // byte-identical to either the pre-retile or the post-retile
 // single-threaded reference.
 func TestConcurrentCachedScans(t *testing.T) {
+	ctx := context.Background()
 	m := newCachedManager(t, 32<<20, 4)
 	q := mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 30")
 
-	ref0, _, err := m.Scan(q)
+	ref0, _, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +327,7 @@ func TestConcurrentCachedScans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				res, _, err := m.Scan(q)
+				res, _, err := m.ScanContext(ctx, q)
 				if err != nil {
 					errs <- err
 					return
@@ -331,7 +341,7 @@ func TestConcurrentCachedScans(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := m.RetileSOT("traffic", 0, l); err != nil {
+		if _, err := m.RetileSOTContext(ctx, "traffic", 0, l); err != nil {
 			errs <- err
 		}
 	}()
@@ -343,7 +353,7 @@ func TestConcurrentCachedScans(t *testing.T) {
 
 	// The post-retile reference is computable after the fact: decoding is
 	// deterministic and the cache is keyed by (SOT, retile count).
-	ref1, _, err := m.Scan(q)
+	ref1, _, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}

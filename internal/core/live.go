@@ -26,7 +26,7 @@ import (
 
 // CreateLiveVideo opens an open-ended append-mode video with the given
 // geometry (and optional retention policy); frames arrive later through
-// AppendGOP and the video stays queryable throughout.
+// AppendGOPContext and the video stays queryable throughout.
 func (m *Manager) CreateLiveVideo(video string, w, h, fps int, pol *tilestore.RetentionPolicy) error {
 	gop := m.cfg.Codec.GOPLength
 	if gop <= 0 {
@@ -44,7 +44,7 @@ func (m *Manager) CreateLiveVideo(video string, w, h, fps int, pol *tilestore.Re
 	return nil
 }
 
-// AppendStats reports the work of one AppendGOP call.
+// AppendStats reports the work of one AppendGOPContext call.
 type AppendStats struct {
 	EncodeWall time.Duration
 	Bytes      int64
@@ -54,19 +54,14 @@ type AppendStats struct {
 	FrameCount int
 }
 
-// AppendGOP appends frames to a live video, committing one SOT per
-// GOP-length chunk (the trailing chunk may be shorter). Each commit is
-// the store's atomic manifest flip: a crash mid-append keeps every
+// AppendGOPContext appends frames to a live video, committing one SOT
+// per GOP-length chunk (the trailing chunk may be shorter). Each commit
+// is the store's atomic manifest flip: a crash mid-append keeps every
 // previously committed SOT intact. Commits run on the video's bounded
 // queue — a full queue rejects the whole call with
 // tasmerr.ErrIngestBackpressure before any work — and each landed SOT
-// wakes subscribers and applies the retention policy.
-func (m *Manager) AppendGOP(video string, frames []*frame.Frame) (AppendStats, error) {
-	return m.AppendGOPContext(context.Background(), video, frames)
-}
-
-// AppendGOPContext is AppendGOP under a context. The encode honors ctx
-// per frame; a context that ends while queued commits are in flight
+// wakes subscribers and applies the retention policy. The encode honors
+// ctx per frame; a context that ends while queued commits are in flight
 // returns early, but the ordered commits themselves run to completion.
 func (m *Manager) AppendGOPContext(ctx context.Context, video string, frames []*frame.Frame) (AppendStats, error) {
 	var st AppendStats
@@ -238,7 +233,9 @@ func (c *SubscribeCursor) Next() bool {
 				return true
 			}
 			err := c.inner.Err()
-			c.foldStats(c.inner.Stats())
+			c.mu.Lock()
+			c.stats.Add(c.inner.Stats())
+			c.mu.Unlock()
 			c.inner = nil
 			if err != nil {
 				return c.fail(err)
@@ -311,22 +308,6 @@ func (c *SubscribeCursor) Stats() ScanStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-func (c *SubscribeCursor) foldStats(st ScanStats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.IndexWall += st.IndexWall
-	c.stats.DecodeWall += st.DecodeWall
-	c.stats.AssembleWall += st.AssembleWall
-	c.stats.PixelsDecoded += st.PixelsDecoded
-	c.stats.TilesDecoded += st.TilesDecoded
-	c.stats.FramesDecoded += st.FramesDecoded
-	c.stats.RegionsReturned += st.RegionsReturned
-	c.stats.SOTsTouched += st.SOTsTouched
-	c.stats.CacheHits += st.CacheHits
-	c.stats.CacheMisses += st.CacheMisses
-	c.stats.CacheEvictions += st.CacheEvictions
 }
 
 // Close ends the tail: the hub registration is dropped and the inner

@@ -79,6 +79,7 @@ func requireContiguous(t *testing.T, name string, r tailRun) {
 // from an arbitrary watermark must both deliver every committed frame
 // exactly once, byte-identical to a batch re-scan after the seal.
 func TestLiveSubscribeReplayByteIdentical(t *testing.T) {
+	ctx := context.Background()
 	m, err := Open(t.TempDir(), testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,7 @@ func TestLiveSubscribeReplayByteIdentical(t *testing.T) {
 
 	// First half committed, then a mid-stream tail from watermark 25:
 	// it replays [25, head) from history and follows live after.
-	if _, err := m.AppendGOP("cam", v.Frames(0, total/2)); err != nil {
+	if _, err := m.AppendGOPContext(ctx, "cam", v.Frames(0, total/2)); err != nil {
 		t.Fatal(err)
 	}
 	mid, err := m.Subscribe(context.Background(), "cam", 25)
@@ -111,7 +112,7 @@ func TestLiveSubscribeReplayByteIdentical(t *testing.T) {
 	midC := make(chan tailRun, 1)
 	go func() { midC <- drainTail(mid) }()
 
-	if _, err := m.AppendGOP("cam", v.Frames(total/2, total)); err != nil {
+	if _, err := m.AppendGOPContext(ctx, "cam", v.Frames(total/2, total)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SealVideo("cam"); err != nil {
@@ -138,7 +139,7 @@ func TestLiveSubscribeReplayByteIdentical(t *testing.T) {
 
 	// The reference: a batch decode of the sealed video. Every delivered
 	// frame must match it byte for byte.
-	ref, _, err := m.DecodeFrames("cam", 0, total)
+	ref, _, err := m.DecodeFramesContext(ctx, "cam", 0, total)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +158,7 @@ func TestLiveSubscribeReplayByteIdentical(t *testing.T) {
 // must deliver a gapless run of intact frames, byte-identical to the
 // others and to a batch re-scan of the surviving window.
 func TestConcurrentAppendSubscribeRetentionGC(t *testing.T) {
+	ctx := context.Background()
 	m, err := Open(t.TempDir(), testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +210,7 @@ func TestConcurrentAppendSubscribeRetentionGC(t *testing.T) {
 	startTail(0)
 	gop := m.Config().Codec.GOPLength
 	for from := 0; from < total; from += gop {
-		if _, err := m.AppendGOP("cam", v.Frames(from, min(from+gop, total))); err != nil {
+		if _, err := m.AppendGOPContext(ctx, "cam", v.Frames(from, min(from+gop, total))); err != nil {
 			t.Fatal(err)
 		}
 		switch from {
@@ -231,7 +233,7 @@ func TestConcurrentAppendSubscribeRetentionGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := m.DecodeFrames("cam", meta.TrimmedTo, total)
+	ref, _, err := m.DecodeFramesContext(ctx, "cam", meta.TrimmedTo, total)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +279,7 @@ func TestConcurrentAppendSubscribeRetentionGC(t *testing.T) {
 // the tail with a typed ErrVideoDeleted — not leave it blocked on the
 // hub or holding a lease that pins the deleted files forever.
 func TestDeleteVideoCancelsActiveSubscription(t *testing.T) {
+	ctx := context.Background()
 	m, err := Open(t.TempDir(), testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +289,7 @@ func TestDeleteVideoCancelsActiveSubscription(t *testing.T) {
 	if err := m.CreateLiveVideo("cam", 128, 64, 10, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AppendGOP("cam", v.Frames(0, 20)); err != nil {
+	if _, err := m.AppendGOPContext(ctx, "cam", v.Frames(0, 20)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -67,6 +68,7 @@ func matchesAnyFrames(fs []*frame.Frame, refs [][]*frame.Frame) bool {
 // one of the consistent catalog states, computed single-threaded on an
 // identically generated shadow manager. Run with -race.
 func TestInterleavedScanRetileDecode(t *testing.T) {
+	ctx := context.Background()
 	for _, tc := range []struct {
 		name   string
 		budget int64
@@ -100,11 +102,11 @@ func TestInterleavedScanRetileDecode(t *testing.T) {
 			var scanRefs [][]RegionResult
 			var decodeRefs [][]*frame.Frame
 			snapshotState := func() {
-				res, _, err := shadow.Scan(q)
+				res, _, err := shadow.ScanContext(ctx, q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fs, _, err := shadow.DecodeFrames("traffic", 0, 30)
+				fs, _, err := shadow.DecodeFramesContext(ctx, "traffic", 0, 30)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,11 +114,11 @@ func TestInterleavedScanRetileDecode(t *testing.T) {
 				decodeRefs = append(decodeRefs, fs)
 			}
 			snapshotState()
-			if _, err := shadow.RetileSOT("traffic", 0, l12); err != nil {
+			if _, err := shadow.RetileSOTContext(ctx, "traffic", 0, l12); err != nil {
 				t.Fatal(err)
 			}
 			snapshotState()
-			if _, err := shadow.RetileSOT("traffic", 1, l21); err != nil {
+			if _, err := shadow.RetileSOTContext(ctx, "traffic", 1, l21); err != nil {
 				t.Fatal(err)
 			}
 			snapshotState()
@@ -136,7 +138,7 @@ func TestInterleavedScanRetileDecode(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 6; i++ {
-						res, _, err := m.Scan(q)
+						res, _, err := m.ScanContext(ctx, q)
 						if err != nil {
 							errCh <- err
 							return
@@ -152,7 +154,7 @@ func TestInterleavedScanRetileDecode(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 3; i++ {
-						fs, _, err := m.DecodeFrames("traffic", 0, 30)
+						fs, _, err := m.DecodeFramesContext(ctx, "traffic", 0, 30)
 						if err != nil {
 							errCh <- err
 							return
@@ -166,11 +168,11 @@ func TestInterleavedScanRetileDecode(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := m.RetileSOT("traffic", 0, l12); err != nil {
+				if _, err := m.RetileSOTContext(ctx, "traffic", 0, l12); err != nil {
 					errCh <- err
 					return
 				}
-				if _, err := m.RetileSOT("traffic", 1, l21); err != nil {
+				if _, err := m.RetileSOTContext(ctx, "traffic", 1, l21); err != nil {
 					errCh <- err
 				}
 			}()
@@ -192,7 +194,7 @@ func TestInterleavedScanRetileDecode(t *testing.T) {
 			}
 
 			// Quiesced, the live state is exactly the shadow's final state.
-			final, _, err := m.Scan(q)
+			final, _, err := m.ScanContext(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,9 +209,10 @@ func TestInterleavedScanRetileDecode(t *testing.T) {
 // or observe the re-ingested video before its detections are re-indexed
 // (zero regions). Nothing in between. Run with -race.
 func TestInterleavedScanDeleteReingest(t *testing.T) {
+	ctx := context.Background()
 	m := newCachedManager(t, 32<<20, 4)
 	q := mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 30")
-	ref, _, err := m.Scan(q)
+	ref, _, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +241,7 @@ func TestInterleavedScanDeleteReingest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				res, _, err := m.Scan(q)
+				res, _, err := m.ScanContext(ctx, q)
 				switch {
 				case err != nil:
 					if !strings.Contains(err.Error(), "traffic") {
@@ -261,7 +264,7 @@ func TestInterleavedScanDeleteReingest(t *testing.T) {
 			fail <- "delete: " + err.Error()
 			return
 		}
-		if _, err := m.Ingest("traffic", v.Frames(0, v.Spec.NumFrames()), v.Spec.FPS); err != nil {
+		if _, err := m.IngestContext(ctx, "traffic", v.Frames(0, v.Spec.NumFrames()), v.Spec.FPS); err != nil {
 			fail <- "re-ingest: " + err.Error()
 		}
 	}()
@@ -280,7 +283,7 @@ func TestInterleavedScanDeleteReingest(t *testing.T) {
 			}
 		}
 	}
-	again, _, err := m.Scan(q)
+	again, _, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +295,7 @@ func TestInterleavedScanDeleteReingest(t *testing.T) {
 // video first, then reject empty or inverted ranges. The video has 30
 // frames.
 func TestRangeSemantics(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	base := mustQuery(t, "SELECT car FROM traffic")
 	cases := []struct {
@@ -314,8 +318,8 @@ func TestRangeSemantics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			q := base
 			q.From, q.To = tc.from, tc.to
-			res, _, scanErr := m.Scan(q)
-			fs, _, decErr := m.DecodeFrames("traffic", tc.from, tc.to)
+			res, _, scanErr := m.ScanContext(ctx, q)
+			fs, _, decErr := m.DecodeFramesContext(ctx, "traffic", tc.from, tc.to)
 			if !tc.ok {
 				if scanErr == nil || decErr == nil {
 					t.Fatalf("Scan err = %v, DecodeFrames err = %v; want both rejected", scanErr, decErr)
@@ -333,7 +337,7 @@ func TestRangeSemantics(t *testing.T) {
 			}
 			ref := base
 			ref.From, ref.To = tc.wantFrom, tc.wantTo
-			want, _, err := m.Scan(ref)
+			want, _, err := m.ScanContext(ctx, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,9 +351,10 @@ func TestRangeSemantics(t *testing.T) {
 // AssembleWall now reports (the paper's figures plot DecodeWall, so it
 // must cover the decode pool drain alone).
 func TestDecodeWallExcludesAssembly(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	q := mustQuery(t, "SELECT car OR person FROM traffic WHERE 0 <= t < 30")
-	res, st, err := m.Scan(q)
+	res, st, err := m.ScanContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +364,7 @@ func TestDecodeWallExcludesAssembly(t *testing.T) {
 	if st.DecodeWall <= 0 || st.AssembleWall <= 0 {
 		t.Fatalf("DecodeWall = %v, AssembleWall = %v; both must be measured", st.DecodeWall, st.AssembleWall)
 	}
-	fs, dst, err := m.DecodeFrames("traffic", 0, 30)
+	fs, dst, err := m.DecodeFramesContext(ctx, "traffic", 0, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +382,7 @@ func TestDecodeWallExcludesAssembly(t *testing.T) {
 // swap is already live), and RepairPointers must bring the box→tile
 // pointers back in line with the live layout.
 func TestRetilePointerRefreshFailure(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	meta, err := m.Meta("traffic")
 	if err != nil {
@@ -390,7 +396,7 @@ func TestRetilePointerRefreshFailure(t *testing.T) {
 	calls := 0
 	m.refreshHook = func(string) error { calls++; return injected }
 
-	_, err = m.RetileSOT("traffic", 0, l)
+	_, err = m.RetileSOTContext(ctx, "traffic", 0, l)
 	var pre *PointerRefreshError
 	if !errors.As(err, &pre) {
 		t.Fatalf("error is %T (%v), want *PointerRefreshError", err, err)
@@ -411,7 +417,7 @@ func TestRetilePointerRefreshFailure(t *testing.T) {
 	if !meta.SOTs[0].L.Equal(l) || meta.SOTs[0].Retiles != 1 {
 		t.Fatalf("swap not committed: %+v", meta.SOTs[0])
 	}
-	if _, _, err := m.Scan(mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 10")); err != nil {
+	if _, _, err := m.ScanContext(ctx, mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 10")); err != nil {
 		t.Fatalf("scan after failed refresh: %v", err)
 	}
 
@@ -427,6 +433,7 @@ func TestRetilePointerRefreshFailure(t *testing.T) {
 // failure is absorbed by the retry: no error escapes and the pointers
 // match the live layout.
 func TestRetilePointerRefreshRetrySucceeds(t *testing.T) {
+	ctx := context.Background()
 	m, _ := newManager(t)
 	meta, _ := m.Meta("traffic")
 	l, err := layout.Uniform(1, 2, m.cfg.Constraints(meta.W, meta.H))
@@ -441,7 +448,7 @@ func TestRetilePointerRefreshRetrySucceeds(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := m.RetileSOT("traffic", 0, l); err != nil {
+	if _, err := m.RetileSOTContext(ctx, "traffic", 0, l); err != nil {
 		t.Fatalf("retry did not absorb transient failure: %v", err)
 	}
 	assertPointersMatchLayout(t, m, "traffic", 0)
@@ -503,6 +510,7 @@ func assertPointersMatchLayout(t *testing.T, m *Manager, video string, sotIDs ..
 // video from many goroutines; all must succeed (serialized), and the
 // final state must be consistent: manifest, disk, and fsck agree.
 func TestConcurrentRetilesSerialize(t *testing.T) {
+	ctx := context.Background()
 	m := newCachedManager(t, 8<<20, 2)
 	meta, _ := m.Meta("traffic")
 	cons := m.Config().Constraints(meta.W, meta.H)
@@ -518,7 +526,7 @@ func TestConcurrentRetilesSerialize(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for sot := 0; sot < 3; sot++ {
-				if _, err := m.RetileSOT("traffic", sot, layouts[(w+sot)%len(layouts)]); err != nil {
+				if _, err := m.RetileSOTContext(ctx, "traffic", sot, layouts[(w+sot)%len(layouts)]); err != nil {
 					errs <- err
 					return
 				}
@@ -547,7 +555,7 @@ func TestConcurrentRetilesSerialize(t *testing.T) {
 			t.Fatalf("SOT %d Retiles = %d, want 3", sot.ID, sot.Retiles)
 		}
 	}
-	if _, _, err := m.Scan(mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 30")); err != nil {
+	if _, _, err := m.ScanContext(ctx, mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 30")); err != nil {
 		t.Fatal(err)
 	}
 }

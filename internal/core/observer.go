@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/tasm-repro/tasm/internal/query"
-	"github.com/tasm-repro/tasm/internal/tasmerr"
 	"github.com/tasm-repro/tasm/internal/tilestore"
 )
 
@@ -89,23 +87,21 @@ func (m *Manager) WarmSOTContext(ctx context.Context, video string, sotID int) (
 		return st, err
 	}
 	defer lease.Release()
-	for _, sot := range meta.SOTs {
-		if sot.ID != sotID {
-			continue
-		}
-		st.SOTsTouched = 1
-		// An effectively unlimited explicit budget forces admission past
-		// the observer's heat gate and keeps the warm out of singleflight
-		// leadership (see decodeTilePrefix).
-		wctx := WithCacheAdmissionBudget(ctx, 1<<62)
-		for ti := 0; ti < sot.L.NumTiles(); ti++ {
-			_, r := m.decodeTilePrefix(wctx, video, lease, sot, ti, sot.NumFrames())
-			if r.err != nil {
-				return st, r.err
-			}
-			m.foldDecodeStats(&st, r)
-		}
-		return st, nil
+	sot, err := meta.SOTByID(sotID)
+	if err != nil {
+		return st, err
 	}
-	return st, fmt.Errorf("core: %w: video %q has no SOT %d", tasmerr.ErrSOTNotFound, video, sotID)
+	st.SOTsTouched = 1
+	// An effectively unlimited explicit budget forces admission past the
+	// observer's heat gate and keeps the warm out of singleflight
+	// leadership (see decodeTilePrefix).
+	wctx := WithCacheAdmissionBudget(ctx, 1<<62)
+	for ti := 0; ti < sot.L.NumTiles(); ti++ {
+		_, r := m.decodeTilePrefix(wctx, video, lease, sot, ti, sot.NumFrames())
+		if r.err != nil {
+			return st, r.err
+		}
+		m.foldDecodeStats(&st, r)
+	}
+	return st, nil
 }

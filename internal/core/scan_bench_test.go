@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/tasm-repro/tasm/internal/query"
@@ -11,6 +12,7 @@ import (
 // work to spread.
 func benchManager(b *testing.B, budget int64, parallelism int) (*Manager, query.Query) {
 	b.Helper()
+	ctx := context.Background()
 	cfg := testConfig()
 	cfg.Codec.GOPLength = 5
 	cfg.CacheBudget = budget
@@ -32,7 +34,7 @@ func benchManager(b *testing.B, budget int64, parallelism int) (*Manager, query.
 		b.Fatal(err)
 	}
 	frames := v.Frames(0, v.Spec.NumFrames())
-	if _, err := m.Ingest("traffic", frames, v.Spec.FPS); err != nil {
+	if _, err := m.IngestContext(ctx, "traffic", frames, v.Spec.FPS); err != nil {
 		b.Fatal(err)
 	}
 	for f := 0; f < v.Spec.NumFrames(); f++ {
@@ -53,11 +55,12 @@ func benchManager(b *testing.B, budget int64, parallelism int) (*Manager, query.
 // cache disabled: every iteration re-reads and re-decodes from disk (the
 // paper prototype's behavior).
 func BenchmarkScanCold(b *testing.B) {
+	ctx := context.Background()
 	m, q := benchManager(b, 0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := m.Scan(q); err != nil {
+		if _, _, err := m.ScanContext(ctx, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,14 +69,15 @@ func BenchmarkScanCold(b *testing.B) {
 // BenchmarkScanWarm measures the same repeated scans served from the
 // decoded-tile cache (one warming scan before the clock starts).
 func BenchmarkScanWarm(b *testing.B) {
+	ctx := context.Background()
 	m, q := benchManager(b, 256<<20, 1)
-	if _, _, err := m.Scan(q); err != nil {
+	if _, _, err := m.ScanContext(ctx, q); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, st, err := m.Scan(q); err != nil {
+		if _, st, err := m.ScanContext(ctx, q); err != nil {
 			b.Fatal(err)
 		} else if st.TilesDecoded != 0 {
 			b.Fatalf("warm scan decoded %d tiles", st.TilesDecoded)
@@ -86,13 +90,14 @@ func BenchmarkScanWarm(b *testing.B) {
 // sequentially, so this could not improve with parallelism when each SOT
 // needed few tiles.
 func BenchmarkScanMultiSOT(b *testing.B) {
+	ctx := context.Background()
 	for _, p := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "p1", 2: "p2", 4: "p4"}[p], func(b *testing.B) {
 			m, q := benchManager(b, 0, p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := m.Scan(q); err != nil {
+				if _, _, err := m.ScanContext(ctx, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -103,14 +108,15 @@ func BenchmarkScanMultiSOT(b *testing.B) {
 // BenchmarkDecodeFramesWarm measures the detector input path against a
 // warm cache.
 func BenchmarkDecodeFramesWarm(b *testing.B) {
+	ctx := context.Background()
 	m, _ := benchManager(b, 256<<20, 2)
-	if _, _, err := m.DecodeFrames("traffic", 0, 60); err != nil {
+	if _, _, err := m.DecodeFramesContext(ctx, "traffic", 0, 60); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := m.DecodeFrames("traffic", 0, 60); err != nil {
+		if _, _, err := m.DecodeFramesContext(ctx, "traffic", 0, 60); err != nil {
 			b.Fatal(err)
 		}
 	}

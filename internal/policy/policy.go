@@ -62,13 +62,10 @@ func Apply(ctx context.Context, m *core.Manager, actions []Action) (core.RetileS
 	return total, nil
 }
 
-// designLayout partitions a SOT around the union of the given labels' boxes
-// within the SOT's frame range.
-func designLayout(m *core.Manager, video string, sot tilestore.SOTMeta, labels []string, g layout.Granularity) (layout.Layout, error) {
-	meta, err := m.Meta(video)
-	if err != nil {
-		return layout.Layout{}, err
-	}
+// DesignLayout partitions a SOT around the union of the given labels' boxes
+// within the SOT's frame range. The frame size is the one the SOT's current
+// layout covers (every stored layout covers its video's frame exactly).
+func DesignLayout(m *core.Manager, video string, sot tilestore.SOTMeta, labels []string, g layout.Granularity) (layout.Layout, error) {
 	var boxes []geom.Rect
 	for _, label := range labels {
 		bs, err := m.Index().LookupBoxes(video, label, sot.From, sot.To)
@@ -77,7 +74,7 @@ func designLayout(m *core.Manager, video string, sot tilestore.SOTMeta, labels [
 		}
 		boxes = append(boxes, bs...)
 	}
-	return layout.Partition(boxes, g, m.Config().Constraints(meta.W, meta.H))
+	return layout.Partition(boxes, g, m.Config().Constraints(sot.L.Width(), sot.L.Height()))
 }
 
 // passesAlpha applies the do-not-tile rule: a layout is acceptable for a
@@ -136,7 +133,7 @@ func (k *KQKO) Plan(m *core.Manager, video string, workload []query.Query) ([]Ac
 	for _, id := range ids {
 		info := infos[id]
 		labels := sortedKeys(info.labels)
-		l, err := designLayout(m, video, info.sot, labels, k.Granularity)
+		l, err := DesignLayout(m, video, info.sot, labels, k.Granularity)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +165,7 @@ func AllObjects(m *core.Manager, video string, g layout.Granularity) ([]Action, 
 	}
 	var actions []Action
 	for _, sot := range meta.SOTs {
-		l, err := designLayout(m, video, sot, labels, g)
+		l, err := DesignLayout(m, video, sot, labels, g)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +235,7 @@ func (p *LazyKnownQueries) ObserveQuery(m *core.Manager, q query.Query) ([]Actio
 		if !known {
 			continue
 		}
-		l, err := designLayout(m, q.Video, sot, p.OQ, p.Granularity)
+		l, err := DesignLayout(m, q.Video, sot, p.OQ, p.Granularity)
 		if err != nil {
 			return nil, err
 		}
@@ -304,7 +301,7 @@ func (p *IncrementalMore) ObserveQuery(m *core.Manager, q query.Query) ([]Action
 		if cur[id] == key {
 			continue
 		}
-		l, err := designLayout(m, q.Video, sots[id], sortedKeys(labels), p.Granularity)
+		l, err := DesignLayout(m, q.Video, sots[id], sortedKeys(labels), p.Granularity)
 		if err != nil {
 			return nil, err
 		}
@@ -388,7 +385,7 @@ func (p *Regret) ObserveQuery(m *core.Manager, q query.Query) ([]Action, error) 
 		var bestLayout layout.Layout
 		for _, subset := range subsets {
 			key := strings.Join(subset, "+")
-			alt, err := designLayout(m, q.Video, sot, subset, p.Granularity)
+			alt, err := DesignLayout(m, q.Video, sot, subset, p.Granularity)
 			if err != nil {
 				return nil, err
 			}
@@ -488,8 +485,8 @@ func labelSubsets(labels []string) [][]string {
 // detector runs on-device as frames are captured (typically wrapped in
 // detect.EveryN to respect the camera's compute budget), and layouts are
 // designed around the detections of the known query classes OQ. It returns
-// the layouts for IngestTiled, the detections to seed the semantic index,
-// and the simulated on-camera detection latency.
+// the layouts for IngestTiledContext, the detections to seed the semantic
+// index, and the simulated on-camera detection latency.
 func EdgeLayouts(v *scene.Video, det detect.Detector, oq []string, gop int, cons layout.Constraints, g layout.Granularity) ([]layout.Layout, []semindex.Detection, time.Duration, error) {
 	n := v.Spec.NumFrames()
 	numSOTs := (n + gop - 1) / gop

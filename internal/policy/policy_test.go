@@ -23,6 +23,7 @@ func testConfig() core.Config {
 // cars and people.
 func fixture(t *testing.T) (*core.Manager, *scene.Video) {
 	t.Helper()
+	ctx := context.Background()
 	m, err := core.Open(t.TempDir(), testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func fixture(t *testing.T) (*core.Manager, *scene.Video) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Ingest("traffic", v.Frames(0, v.Spec.NumFrames()), v.Spec.FPS); err != nil {
+	if _, err := m.IngestContext(ctx, "traffic", v.Frames(0, v.Spec.NumFrames()), v.Spec.FPS); err != nil {
 		t.Fatal(err)
 	}
 	indexAll(t, m, v)
@@ -72,6 +73,7 @@ func mustQuery(t *testing.T, s string) query.Query {
 }
 
 func TestKQKOPlansQueriedSOTsOnly(t *testing.T) {
+	ctx := context.Background()
 	m, _ := fixture(t)
 	k := NewKQKO()
 	workload := []query.Query{mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 10")}
@@ -95,11 +97,11 @@ func TestKQKOPlansQueriedSOTsOnly(t *testing.T) {
 	}
 	// Applying the plan speeds up the query.
 	q := workload[0]
-	_, before, _ := m.Scan(q)
+	_, before, _ := m.ScanContext(ctx, q)
 	if _, err := Apply(context.Background(), m, actions); err != nil {
 		t.Fatal(err)
 	}
-	_, after, _ := m.Scan(q)
+	_, after, _ := m.ScanContext(ctx, q)
 	if after.PixelsDecoded >= before.PixelsDecoded {
 		t.Errorf("KQKO plan did not reduce pixels: %d -> %d", before.PixelsDecoded, after.PixelsDecoded)
 	}
@@ -136,6 +138,7 @@ func TestAllObjectsCoversAllSOTs(t *testing.T) {
 }
 
 func TestLazyWaitsForCoverage(t *testing.T) {
+	ctx := context.Background()
 	m, err := core.Open(t.TempDir(), testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +149,7 @@ func TestLazyWaitsForCoverage(t *testing.T) {
 		Classes: []scene.ClassMix{{Class: scene.Car, Count: 2, SizeFrac: 0.16}},
 		Seed:    5,
 	})
-	if _, err := m.Ingest("traffic", v.Frames(0, v.Spec.NumFrames()), v.Spec.FPS); err != nil {
+	if _, err := m.IngestContext(ctx, "traffic", v.Frames(0, v.Spec.NumFrames()), v.Spec.FPS); err != nil {
 		t.Fatal(err)
 	}
 	lazy := NewLazyKnownQueries([]string{scene.Car})
@@ -259,6 +262,7 @@ func TestRegretEtaZeroFiresImmediately(t *testing.T) {
 }
 
 func TestRegretAlphaBlocksDenseLayouts(t *testing.T) {
+	ctx := context.Background()
 	// A dense video: objects cover most of the frame, so any layout fails
 	// the α rule and regret must never retile.
 	m, err := core.Open(t.TempDir(), testConfig())
@@ -271,7 +275,7 @@ func TestRegretAlphaBlocksDenseLayouts(t *testing.T) {
 		Classes: []scene.ClassMix{{Class: scene.Person, Count: 8, SizeFrac: 0.5}},
 		Seed:    11,
 	})
-	if _, err := m.Ingest("traffic", v.Frames(0, v.Spec.NumFrames()), v.Spec.FPS); err != nil {
+	if _, err := m.IngestContext(ctx, "traffic", v.Frames(0, v.Spec.NumFrames()), v.Spec.FPS); err != nil {
 		t.Fatal(err)
 	}
 	for f := 0; f < v.Spec.NumFrames(); f++ {

@@ -108,7 +108,7 @@ func TestLiveAppendSubscribeBothFramings(t *testing.T) {
 			t.Fatalf("%s tail did not terminate after seal", name)
 		}
 	}
-	ref, _, err := h.sm.DecodeFrames("cam", 0, total)
+	ref, _, err := h.sm.DecodeFramesContext(ctx, "cam", 0, total)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,8 +114,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // a stream already in flight — authenticated against the old table —
 // drains to completion untouched.
 func TestTokenReloadKeepsInflightStreams(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t, server.Config{Tenants: map[string]string{"tok-old": "alpha"}})
-	ref, _, err := h.sm.ScanSQL(trafficSQL)
+	ref, _, err := h.sm.ScanSQLContext(ctx, trafficSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,5 +214,75 @@ func TestCorruptTileOverHTTP(t *testing.T) {
 	}
 	if fr.OK() {
 		t.Fatal("fsck clean while the manifest references quarantined versions")
+	}
+}
+
+// statusRecorder remembers the status of the last response it carried.
+type statusRecorder struct{ last int }
+
+func (s *statusRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		s.last = resp.StatusCode
+	}
+	return resp, err
+}
+
+// TestMalformedWritesAre400 posts the three client mistakes the write
+// path used to answer with 500 internal: each is the caller's fault, so
+// the wire says 400, the client classifies it ErrInvalidRange (tasmctl
+// exits 3), nothing is stored, and nothing panicked.
+func TestMalformedWritesAre400(t *testing.T) {
+	h := newHarness(t, server.Config{})
+	ctx := context.Background()
+	rec := &statusRecorder{}
+	c, err := client.New(h.ts.URL, client.WithHTTPClient(&http.Client{Transport: rec}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	good := func(n int) []*tasm.Frame {
+		fs := make([]*tasm.Frame, n)
+		for i := range fs {
+			fs[i] = tasm.NewFrame(192, 96)
+		}
+		return fs
+	}
+	small := tasm.Layout{RowHeights: []int{64}, ColWidths: []int{64}}
+	whole := tasm.Layout{RowHeights: []int{96}, ColWidths: []int{192}}
+	for _, tc := range []struct {
+		name string
+		call func() error
+		msg  []string // fragments the remote message must carry
+	}{
+		{"retile with a layout that does not cover the frame", func() error {
+			_, err := c.RetileSOTContext(ctx, "traffic", 0, small)
+			return err
+		}, []string{"64x64", "192x96"}},
+		{"ingest of mixed-size frames", func() error {
+			_, err := c.IngestContext(ctx, "mixed", append(good(7), tasm.NewFrame(64, 64)), 10)
+			return err
+		}, []string{"frame 7", "64x64", "192x96"}},
+		{"tiled ingest with a layout count other than the SOT count", func() error {
+			_, err := c.IngestTiledContext(ctx, "miscounted", good(3), 10, []tasm.Layout{whole, whole})
+			return err
+		}, []string{"2 layouts for 1 SOTs"}},
+	} {
+		err := tc.call()
+		if !errors.Is(err, tasm.ErrInvalidRange) || rec.last != http.StatusBadRequest {
+			t.Errorf("%s: status %d, err %v; want 400 classified ErrInvalidRange", tc.name, rec.last, err)
+			continue
+		}
+		for _, frag := range tc.msg {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%s: message %q does not name %q", tc.name, err, frag)
+			}
+		}
+	}
+	if vids, err := c.VideosContext(ctx); err != nil || len(vids) != 1 || vids[0] != "traffic" {
+		t.Errorf("videos after the rejected writes = %v (err %v), want only traffic", vids, err)
+	}
+	if n, ok := metricValue(t, h.ts.URL, "", "tasm_request_panics_total"); !ok || n != 0 {
+		t.Errorf("tasm_request_panics_total = %d (found %v), want 0", n, ok)
 	}
 }

@@ -35,6 +35,7 @@ type harness struct {
 // when the client walks away.
 func newHarness(t *testing.T, cfg server.Config, opts ...tasm.Option) *harness {
 	t.Helper()
+	ctx := context.Background()
 	opts = append([]tasm.Option{tasm.WithGOPLength(5), tasm.WithMinTileSize(32, 32)}, opts...)
 	dir := t.TempDir()
 	sm, err := tasm.Open(dir, opts...)
@@ -54,7 +55,7 @@ func newHarness(t *testing.T, cfg server.Config, opts ...tasm.Option) *harness {
 		t.Fatal(err)
 	}
 	n := v.Spec.NumFrames()
-	if _, err := sm.Ingest("traffic", v.Frames(0, n), v.Spec.FPS); err != nil {
+	if _, err := sm.IngestContext(ctx, "traffic", v.Frames(0, n), v.Spec.FPS); err != nil {
 		t.Fatal(err)
 	}
 	var ds []tasm.Detection
@@ -96,8 +97,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // streaming scan yields byte-identical regions, in the same order, with
 // the same stats counters, as the in-process scan it fronts.
 func TestRemoteScanMatchesInProcess(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t, server.Config{})
-	ref, refSt, err := h.sm.ScanSQL(trafficSQL)
+	ref, refSt, err := h.sm.ScanSQLContext(ctx, trafficSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +130,9 @@ func TestRemoteScanMatchesInProcess(t *testing.T) {
 // TestRemoteDecodeFramesMatchesInProcess does the same for whole-frame
 // streaming.
 func TestRemoteDecodeFramesMatchesInProcess(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t, server.Config{})
-	ref, _, err := h.sm.DecodeFrames("traffic", 5, 20)
+	ref, _, err := h.sm.DecodeFramesContext(ctx, "traffic", 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,6 +386,7 @@ func TestRemoteMaintenanceOps(t *testing.T) {
 // TestRemoteIngestRoundTrip uploads frames through the wire and reads
 // them back bit-for-bit against a local decode of the same store.
 func TestRemoteIngestRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t, server.Config{})
 	frames := make([]*tasm.Frame, 6)
 	for i := range frames {
@@ -402,7 +406,7 @@ func TestRemoteIngestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, _, err := h.sm.DecodeFrames("up", 0, 6)
+	local, _, err := h.sm.DecodeFramesContext(ctx, "up", 0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,9 @@ func binaryClient(t *testing.T, h *harness, extra ...client.Option) *client.Clie
 // the same order, with the same stats, as both the in-process scan and
 // the NDJSON remote scan.
 func TestBinaryRemoteScanByteIdentical(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t, server.Config{})
-	ref, refSt, err := h.sm.ScanSQL(trafficSQL)
+	ref, refSt, err := h.sm.ScanSQLContext(ctx, trafficSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +74,9 @@ func TestBinaryRemoteScanByteIdentical(t *testing.T) {
 // TestBinaryRemoteDecodeFramesByteIdentical covers the whole-frame
 // stream under the v2 framing.
 func TestBinaryRemoteDecodeFramesByteIdentical(t *testing.T) {
+	ctx := context.Background()
 	h := newHarness(t, server.Config{})
-	ref, _, err := h.sm.DecodeFrames("traffic", 5, 20)
+	ref, _, err := h.sm.DecodeFramesContext(ctx, "traffic", 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

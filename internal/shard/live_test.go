@@ -115,7 +115,7 @@ func TestLiveAppendSubscribeThroughRouter(t *testing.T) {
 	if len(r.indices) != total {
 		t.Fatalf("routed tail delivered %d frames, want %d", len(r.indices), total)
 	}
-	ref, _, err := owner.sm.DecodeFrames("cam0", 0, total)
+	ref, _, err := owner.sm.DecodeFramesContext(ctx, "cam0", 0, total)
 	if err != nil {
 		t.Fatal(err)
 	}

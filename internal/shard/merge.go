@@ -67,11 +67,6 @@ func NewRegionMerge(srcs ...Source[core.RegionResult]) *Merge[core.RegionResult]
 	return &Merge[core.RegionResult]{key: func(r core.RegionResult) int { return r.Frame }, srcs: srcs}
 }
 
-// NewFrameMerge merges whole-frame streams by frame index.
-func NewFrameMerge(srcs ...Source[core.FrameResult]) *Merge[core.FrameResult] {
-	return &Merge[core.FrameResult]{key: func(f core.FrameResult) int { return f.Index }, srcs: srcs}
-}
-
 // ScatterScan is the scatter half of a multi-video scan, shared by
 // every backend: one cursor per video q names, opened concurrently
 // through open with the query narrowed to that video, gathered into one
@@ -160,18 +155,7 @@ func (m *Merge[T]) Err() error { return m.err }
 func (m *Merge[T]) Stats() core.ScanStats {
 	var agg core.ScanStats
 	for _, s := range m.srcs {
-		st := s.Stats()
-		agg.IndexWall += st.IndexWall
-		agg.DecodeWall += st.DecodeWall
-		agg.AssembleWall += st.AssembleWall
-		agg.PixelsDecoded += st.PixelsDecoded
-		agg.TilesDecoded += st.TilesDecoded
-		agg.FramesDecoded += st.FramesDecoded
-		agg.RegionsReturned += st.RegionsReturned
-		agg.SOTsTouched += st.SOTsTouched
-		agg.CacheHits += st.CacheHits
-		agg.CacheMisses += st.CacheMisses
-		agg.CacheEvictions += st.CacheEvictions
+		agg.Add(s.Stats())
 	}
 	return agg
 }

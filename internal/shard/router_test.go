@@ -164,7 +164,7 @@ func newFleetSpec(t *testing.T, spec func(string, uint64) scene.Spec, videos ...
 			t.Fatal(err)
 		}
 		// And the same data directly into the reference store.
-		if _, err := f.ref.sm.Ingest(name, v.Frames(0, n), v.Spec.FPS); err != nil {
+		if _, err := f.ref.sm.IngestContext(ctx, name, v.Frames(0, n), v.Spec.FPS); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.ref.sm.AddDetections(name, ds); err != nil {
@@ -224,6 +224,7 @@ func sameRegions(t *testing.T, label string, got, ref []tasm.RegionResult) {
 // and against a single node holding everything yields byte-identical
 // region streams, in both negotiated framings.
 func TestScatterGatherMatchesSingleNode(t *testing.T) {
+	ctx := context.Background()
 	f := newFleet(t, "cam0", "cam1", "cam2", "cam3")
 
 	// The fleet must actually be spread, or the test proves nothing.
@@ -235,7 +236,7 @@ func TestScatterGatherMatchesSingleNode(t *testing.T) {
 		t.Fatalf("ring put all videos on one shard; pick different names (owners: %v)", owners)
 	}
 
-	ref, refSt, err := f.ref.sm.ScanSQL(f.multiSQL())
+	ref, refSt, err := f.ref.sm.ScanSQLContext(ctx, f.multiSQL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestScatterGatherMatchesSingleNode(t *testing.T) {
 
 	// The single-video remote path through the router matches too.
 	one := "SELECT car FROM cam2 WHERE 0 <= t < 20"
-	refOne, _, err := f.ref.sm.ScanSQL(one)
+	refOne, _, err := f.ref.sm.ScanSQLContext(ctx, one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +280,9 @@ func TestScatterGatherMatchesSingleNode(t *testing.T) {
 // TestDecodeFramesThroughRouter: the relayed whole-frame stream is
 // byte-identical to the single node's.
 func TestDecodeFramesThroughRouter(t *testing.T) {
+	ctx := context.Background()
 	f := newFleet(t, "cam0", "cam1")
-	ref, _, err := f.ref.sm.DecodeFrames("cam1", 3, 15)
+	ref, _, err := f.ref.sm.DecodeFramesContext(ctx, "cam1", 3, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,5 +622,27 @@ func TestDeadlineForwardedToShards(t *testing.T) {
 		}
 	default:
 		t.Fatal("the stalled shard was never called")
+	}
+}
+
+// TestMalformedWritesAre400ThroughRouter: the owning shard's 400-class
+// rejection of a malformed write survives the routed hop with its
+// classification, and the router's catalog gains nothing (the tasmd-side
+// table is internal/server's TestMalformedWritesAre400).
+func TestMalformedWritesAre400ThroughRouter(t *testing.T) {
+	f := newFleet(t, "cam0")
+	ctx := context.Background()
+	frames := []*tasm.Frame{tasm.NewFrame(192, 96), tasm.NewFrame(192, 96), tasm.NewFrame(64, 64)}
+	whole := tasm.Layout{RowHeights: []int{96}, ColWidths: []int{192}}
+	_, retileErr := f.c.RetileSOTContext(ctx, "cam0", 0, tasm.Layout{RowHeights: []int{64}, ColWidths: []int{64}})
+	_, mixedErr := f.c.IngestContext(ctx, "mixed", frames, 10)
+	_, countErr := f.c.IngestTiledContext(ctx, "miscounted", frames[:2], 10, []tasm.Layout{whole, whole})
+	for name, err := range map[string]error{"retile": retileErr, "mixed-size ingest": mixedErr, "layout count": countErr} {
+		if !errors.Is(err, tasm.ErrInvalidRange) {
+			t.Errorf("%s through the router: %v, want ErrInvalidRange", name, err)
+		}
+	}
+	if vids, err := f.c.VideosContext(ctx); err != nil || strings.Join(vids, ",") != "cam0" {
+		t.Errorf("videos after the rejected writes = %v (err %v), want only cam0", vids, err)
 	}
 }

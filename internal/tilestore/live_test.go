@@ -223,7 +223,7 @@ func TestTrimLeasedSOTTombstones(t *testing.T) {
 	s := liveStore(t, nil)
 	first := appendGOP(t, s, "cam", 0)
 	appendGOP(t, s, "cam", 30)
-	lease, err := s.AcquireSOT("cam", first)
+	_, lease, err := s.SnapshotRange("cam", first.From, first.To)
 	if err != nil {
 		t.Fatal(err)
 	}

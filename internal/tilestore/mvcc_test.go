@@ -86,23 +86,6 @@ func TestLeaseDefersGC(t *testing.T) {
 	}
 }
 
-// TestAcquireSupersededVersionFails asserts a stale SOTMeta whose version
-// was already reaped cannot be leased (callers must re-Snapshot).
-func TestAcquireSupersededVersionFails(t *testing.T) {
-	s, _ := Open(t.TempDir())
-	meta := buildVideo(t, s, "v")
-	w, h := meta.W, meta.H
-	stale := meta.SOTs[0]
-	l22, _ := layout.Uniform(2, 2, cons(w, h))
-	tiles, _ := container.EncodeTiled(makeFrames(w, h, 10, 0), l22, 10, params())
-	if err := s.ReplaceSOT("v", 0, l22, tiles); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AcquireSOT("v", stale); err == nil {
-		t.Fatal("acquired a reaped version")
-	}
-}
-
 // TestDeleteVideoWithLease deletes a video while a snapshot lease pins
 // its files, re-creates it under the same name with DIFFERENT pixels, and
 // asserts (a) the leased reader keeps getting the deleted generation's

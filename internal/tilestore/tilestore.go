@@ -13,16 +13,11 @@
 // per version. Re-tiling writes the new tiles into a fresh version
 // directory and flips the manifest; it never overwrites tile files in
 // place. Readers pin the exact versions their catalog snapshot names by
-// holding read leases (Snapshot / AcquireSOT), and a superseded version's
-// directory is garbage-collected only once the last lease on it is
-// released. This is what lets Scan run truly concurrently with RetileSOT:
+// holding read leases (Snapshot and its variants), and a superseded
+// version's directory is garbage-collected only once the last lease on it
+// is released. This is what lets Scan run truly concurrently with RetileSOT:
 // a scan holding a lease always reads the tile files of the layout it
 // planned against, no matter how many re-tiles commit underneath it.
-//
-// Stores written before directories were versioned (every version named
-// frames_<a>-<b> regardless of the manifest's retile counter) remain
-// readable: version resolution falls back to the unversioned name, and the
-// first re-tile of such a SOT migrates it to a versioned directory.
 package tilestore
 
 import (
@@ -33,6 +28,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -111,6 +107,17 @@ func (m *VideoMeta) SOTForFrame(frame int) (SOTMeta, bool) {
 		return SOTMeta{}, false
 	}
 	return m.SOTs[i], true
+}
+
+// SOTByID returns the SOT with the given id, or an error wrapping
+// tasmerr.ErrSOTNotFound.
+func (m *VideoMeta) SOTByID(id int) (SOTMeta, error) {
+	for _, s := range m.SOTs {
+		if s.ID == id {
+			return s, nil
+		}
+	}
+	return SOTMeta{}, fmt.Errorf("tilestore: %w: video %q has no SOT %d", tasmerr.ErrSOTNotFound, m.Name, id)
 }
 
 // SOTsInRange returns the SOTs overlapping frames [from, to).
@@ -791,21 +798,6 @@ func (s *Store) snapshot(ctx context.Context, video string, from, to int) (Video
 	return meta, l, nil
 }
 
-// AcquireSOT pins a single SOT version. The SOTMeta must come from a
-// current catalog read; acquiring a version that has already been
-// superseded and reaped returns an error (the caller should re-Snapshot).
-func (s *Store) AcquireSOT(video string, sot SOTMeta) (*Lease, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	k, err := s.acquireLocked(video, sot)
-	if err != nil {
-		return nil, err
-	}
-	return &Lease{s: s, keys: []leaseKey{k}}, nil
-}
-
 // acquireLocked takes one read-lease reference; the caller holds leaseMu
 // (and mu shared, to exclude the writers that retire versions).
 func (s *Store) acquireLocked(video string, sot SOTMeta) (leaseKey, error) {
@@ -919,19 +911,6 @@ func (s *Store) ReadTile(video string, sot SOTMeta, tileIdx int) (*container.Vid
 	return s.loadTile(dir, sot, tileIdx)
 }
 
-// ReadAllTiles loads every tile stream of a SOT in layout order.
-func (s *Store) ReadAllTiles(video string, sot SOTMeta) ([]*container.Video, error) {
-	out := make([]*container.Video, sot.L.NumTiles())
-	for i := range out {
-		tv, err := s.ReadTile(video, sot, i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = tv
-	}
-	return out, nil
-}
-
 // ReplaceSOT swaps a SOT's tiles for a new layout by writing a fresh
 // version directory and flipping the manifest; the old version's files are
 // untouched until every lease on them is released, then reaped. The new
@@ -959,13 +938,7 @@ func (s *Store) replaceSOT(video string, sotID int, newLayout layout.Layout, til
 	if err != nil {
 		return err
 	}
-	idx := -1
-	for i, sot := range meta.SOTs {
-		if sot.ID == sotID {
-			idx = i
-			break
-		}
-	}
+	idx := slices.IndexFunc(meta.SOTs, func(sot SOTMeta) bool { return sot.ID == sotID })
 	if idx < 0 {
 		return fmt.Errorf("tilestore: %w: video %q has no SOT %d", tasmerr.ErrSOTNotFound, video, sotID)
 	}

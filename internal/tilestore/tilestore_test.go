@@ -1,6 +1,7 @@
 package tilestore
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -163,7 +164,12 @@ func TestReadTileAndDecode(t *testing.T) {
 	if _, err := s.ReadTile("v", sot, 99); err == nil {
 		t.Error("out-of-range tile read succeeded")
 	}
-	all, err := s.ReadAllTiles("v", sot)
+	_, lease, err := s.Snapshot("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	all, err := lease.ReadAllTiles(context.Background(), sot)
 	if err != nil || len(all) != 4 {
 		t.Fatalf("ReadAllTiles: %d, %v", len(all), err)
 	}

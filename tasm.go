@@ -30,8 +30,9 @@
 //
 // Failures are classified by exported sentinel errors — ErrVideoNotFound,
 // ErrInvalidRange, ErrRetileConflict, … — matchable with errors.Is across
-// every layer. The context-free forms (Scan, DecodeFrames, Ingest, …)
-// remain as thin wrappers over the context-first ones.
+// every layer. Every operation that decodes, encodes or re-tiles has one
+// spelling and takes a context first; only catalog and index lookups
+// (Meta, AddDetections, GC, …) do without one.
 //
 // Enable adaptive tiling to let the storage manager re-tile itself in the
 // background as it observes queries — every query path (blocking,
@@ -51,7 +52,6 @@ import (
 	"github.com/tasm-repro/tasm/internal/adapt"
 	"github.com/tasm-repro/tasm/internal/container"
 	"github.com/tasm-repro/tasm/internal/core"
-	"github.com/tasm-repro/tasm/internal/costmodel"
 	"github.com/tasm-repro/tasm/internal/frame"
 	"github.com/tasm-repro/tasm/internal/geom"
 	"github.com/tasm-repro/tasm/internal/layout"
@@ -95,7 +95,7 @@ var (
 	ErrAutotileDisabled = tasmerr.ErrAutotileDisabled
 	// ErrTileCorrupt: stored bytes failed integrity verification — a
 	// tile file no longer matches the CRC32C sealed into the catalog
-	// when it was written, or no longer parses. RepairStore (or
+	// when it was written, or no longer parses. RepairStoreContext (or
 	// `tasmctl fsck -repair`) quarantines the damaged version and falls
 	// back to an earlier intact one when the store still holds it.
 	ErrTileCorrupt = tasmerr.ErrTileCorrupt
@@ -110,7 +110,7 @@ var (
 	// retry after a short delay. The serving layer maps it to HTTP 429
 	// with a Retry-After header.
 	ErrIngestBackpressure = tasmerr.ErrIngestBackpressure
-	// ErrVideoSealed: an append-path operation (AppendGOP, SealVideo,
+	// ErrVideoSealed: an append-path operation (AppendGOPContext, SealVideo,
 	// SetRetention) addressed a video that is not live — batch-ingested,
 	// or already sealed. Sealing is one-way.
 	ErrVideoSealed = tasmerr.ErrVideoSealed
@@ -155,7 +155,7 @@ type (
 	RetentionPolicy = tilestore.RetentionPolicy
 	// TrimReport describes what one retention trim removed.
 	TrimReport = tilestore.TrimReport
-	// AppendStats reports the work of one AppendGOP call.
+	// AppendStats reports the work of one AppendGOPContext call.
 	AppendStats = core.AppendStats
 	// SubscribeCursor is a live tail over a video's committed frames
 	// (see StorageManager.Subscribe).
@@ -286,7 +286,7 @@ func WithAutotileLogger(logger *log.Logger) Option {
 }
 
 // WithAppendQueueDepth bounds how many live-append commits may be
-// pending per video before AppendGOP refuses with ErrIngestBackpressure
+// pending per video before AppendGOPContext refuses with ErrIngestBackpressure
 // (default 4). Deeper queues smooth burstier producers at the cost of
 // more buffered frames in memory.
 func WithAppendQueueDepth(n int) Option {
@@ -396,30 +396,23 @@ func (s *StorageManager) AutotileKick(ctx context.Context) (int, error) {
 	return s.retiler.Kick(ctx)
 }
 
-// Ingest stores frames as a new untiled video (one SOT per GOP).
-func (s *StorageManager) Ingest(video string, frames []*Frame, fps int) (IngestStats, error) {
-	return s.m.Ingest(video, frames, fps)
-}
-
-// IngestContext is Ingest under a context: cancellation aborts the
-// encode within one frame's work and leaves no partial video behind.
+// IngestContext stores frames as a new untiled video (one SOT per GOP).
+// Cancellation aborts the encode within one frame's work and leaves no
+// partial video behind.
 func (s *StorageManager) IngestContext(ctx context.Context, video string, frames []*Frame, fps int) (IngestStats, error) {
 	return s.m.IngestContext(ctx, video, frames, fps)
 }
 
-// IngestTiled stores frames with caller-chosen per-SOT layouts, the edge
-// camera upload path.
-func (s *StorageManager) IngestTiled(video string, frames []*Frame, fps int, layouts []Layout) (IngestStats, error) {
-	return s.m.IngestTiled(video, frames, fps, layouts)
-}
-
-// IngestTiledContext is IngestTiled under a context.
+// IngestTiledContext stores frames with caller-chosen per-SOT layouts,
+// the edge camera upload path. Frames of mixed size, a layout that does not
+// cover the frame, or a layout count other than one per GOP fail with
+// ErrInvalidRange before anything is encoded.
 func (s *StorageManager) IngestTiledContext(ctx context.Context, video string, frames []*Frame, fps int, layouts []Layout) (IngestStats, error) {
 	return s.m.IngestTiledContext(ctx, video, frames, fps, layouts)
 }
 
 // CreateLiveVideo opens an open-ended video in append mode: it starts
-// empty and grows one GOP at a time via AppendGOP until SealVideo
+// empty and grows one GOP at a time via AppendGOPContext until SealVideo
 // converts it to an ordinary batch video. pol (optional) bounds how
 // much history the store keeps; expired SOTs age out through the same
 // tombstone machinery re-tiling uses, so in-flight reads finish on
@@ -428,19 +421,14 @@ func (s *StorageManager) CreateLiveVideo(video string, w, h, fps int, pol *Reten
 	return s.m.CreateLiveVideo(video, w, h, fps, pol)
 }
 
-// AppendGOP appends frames to a live video. Frames are chunked into
-// SOTs of the configured GOP length; each completed SOT becomes
+// AppendGOPContext appends frames to a live video. Frames are chunked
+// into SOTs of the configured GOP length; each completed SOT becomes
 // visible to readers atomically at its manifest commit, so a crash
 // mid-append loses at most the uncommitted tail, never a torn SOT.
 // When the video's bounded commit queue is full the call fails fast
-// with ErrIngestBackpressure and writes nothing.
-func (s *StorageManager) AppendGOP(video string, frames []*Frame) (AppendStats, error) {
-	return s.m.AppendGOP(video, frames)
-}
-
-// AppendGOPContext is AppendGOP under a context: expiry while waiting
-// on the commit queue returns ctx's error (an already-ordered commit
-// still completes).
+// with ErrIngestBackpressure and writes nothing. Expiry of ctx while
+// waiting on the commit queue returns ctx's error (an already-ordered
+// commit still completes).
 func (s *StorageManager) AppendGOPContext(ctx context.Context, video string, frames []*Frame) (AppendStats, error) {
 	return s.m.AppendGOPContext(ctx, video, frames)
 }
@@ -496,18 +484,13 @@ func (s *StorageManager) MarkDetected(video, label string, from, to int) error {
 	return s.m.Index().MarkDetected(video, label, from, to)
 }
 
-// Scan answers a query: it returns the pixel regions matching the query's
-// label predicate within its time range, decoding only the tiles that
-// contain them. With adaptive tiling enabled, the query feeds the
+// ScanContext answers a query: it returns the pixel regions matching the
+// query's label predicate within its time range, decoding only the tiles
+// that contain them. With adaptive tiling enabled, the query feeds the
 // background observer; re-tiling happens asynchronously, never on the
-// query path.
-func (s *StorageManager) Scan(q Query) ([]RegionResult, ScanStats, error) {
-	return s.ScanContext(context.Background(), q)
-}
-
-// ScanContext is Scan under a context: cancellation or deadline expiry
-// stops in-flight tile decodes within one frame's work, releases every
-// read lease the request holds, and returns an error wrapping ctx.Err().
+// query path. Cancellation or deadline expiry stops in-flight tile decodes
+// within one frame's work, releases every read lease the request holds,
+// and returns an error wrapping ctx.Err().
 //
 // A multi-video query ("FROM a,b") scans each video in turn and merges
 // the results into one globally frame-ordered slice: regions sharing a
@@ -525,7 +508,7 @@ func (s *StorageManager) ScanContext(ctx context.Context, q Query) ([]RegionResu
 		sq := q
 		sq.Video, sq.Videos = v, nil
 		rs, st, err := s.m.ScanContext(ctx, sq)
-		agg = addScanStats(agg, st)
+		agg.Add(st)
 		if err != nil {
 			return nil, agg, err
 		}
@@ -533,23 +516,6 @@ func (s *StorageManager) ScanContext(ctx context.Context, q Query) ([]RegionResu
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Frame < all[j].Frame })
 	return all, agg, nil
-}
-
-// addScanStats folds one per-video stats record into a running total:
-// every field is additive (walls sum sequential per-video work).
-func addScanStats(a, b ScanStats) ScanStats {
-	a.IndexWall += b.IndexWall
-	a.DecodeWall += b.DecodeWall
-	a.AssembleWall += b.AssembleWall
-	a.PixelsDecoded += b.PixelsDecoded
-	a.TilesDecoded += b.TilesDecoded
-	a.FramesDecoded += b.FramesDecoded
-	a.RegionsReturned += b.RegionsReturned
-	a.SOTsTouched += b.SOTsTouched
-	a.CacheHits += b.CacheHits
-	a.CacheMisses += b.CacheMisses
-	a.CacheEvictions += b.CacheEvictions
-	return a
 }
 
 // ScanCursor starts a streaming Scan: pixel regions are yielded in frame
@@ -573,12 +539,8 @@ func (s *StorageManager) ScanCursor(ctx context.Context, q Query) (*Cursor, erro
 	return s.m.ScanCursor(ctx, q)
 }
 
-// ScanSQL parses and executes a query in the evaluation's SELECT form.
-func (s *StorageManager) ScanSQL(sql string) ([]RegionResult, ScanStats, error) {
-	return s.ScanSQLContext(context.Background(), sql)
-}
-
-// ScanSQLContext is ScanSQL under a context.
+// ScanSQLContext parses and executes a query in the evaluation's SELECT
+// form (see ScanContext).
 func (s *StorageManager) ScanSQLContext(ctx context.Context, sql string) ([]RegionResult, ScanStats, error) {
 	q, err := query.Parse(sql)
 	if err != nil {
@@ -596,13 +558,9 @@ func (s *StorageManager) ScanSQLCursor(ctx context.Context, sql string) (*Cursor
 	return s.ScanCursor(ctx, q)
 }
 
-// DecodeFrames decodes and reassembles whole frames [from, to), regardless
-// of tiling — the path object detectors run on.
-func (s *StorageManager) DecodeFrames(video string, from, to int) ([]*Frame, ScanStats, error) {
-	return s.m.DecodeFrames(video, from, to)
-}
-
-// DecodeFramesContext is DecodeFrames under a context.
+// DecodeFramesContext decodes and reassembles whole frames [from, to),
+// regardless of tiling — the path object detectors run on. Cancellation
+// stops in-flight decodes and releases the read leases.
 func (s *StorageManager) DecodeFramesContext(ctx context.Context, video string, from, to int) ([]*Frame, ScanStats, error) {
 	return s.m.DecodeFramesContext(ctx, video, from, to)
 }
@@ -659,20 +617,19 @@ func (s *StorageManager) FSCK() (FsckReport, error) { return s.m.Store().FSCK() 
 // pointer refresh failed (see core.PointerRefreshError).
 func (s *StorageManager) RepairPointers(video string) error { return s.m.RepairPointers(video) }
 
-// RepairReport describes what one RepairStore pass changed.
+// RepairReport describes what one RepairStoreContext pass changed.
 type RepairReport = tilestore.RepairReport
 
-// RepairStore validates every SOT's live tiles against the checksums
+// RepairStoreContext validates every SOT's live tiles against the checksums
 // sealed into the catalog, quarantines corrupt version directories into
 // the tombstone area, and falls back to the newest earlier version that
 // still verifies, re-aiming caches and box→tile pointers at the adopted
 // layout. SOTs with no intact fallback stay referenced (and keep
 // failing FSCK) so data loss stays visible. This is the repair half of
 // `tasmctl fsck -repair`.
-func (s *StorageManager) RepairStore() (RepairReport, error) { return s.m.RepairStore() }
-
-// RepairStoreContext is RepairStore under a context, checked before the
-// pass starts (the pass itself is a single store-wide critical section).
+//
+// ctx is checked before the pass starts (the pass itself is a single
+// store-wide critical section).
 func (s *StorageManager) RepairStoreContext(ctx context.Context) (RepairReport, error) {
 	if err := ctx.Err(); err != nil {
 		return RepairReport{}, err
@@ -705,14 +662,10 @@ func (s *StorageManager) LookupDetections(video, label string, fromFrame, toFram
 	return out, nil
 }
 
-// RetileSOT re-encodes one SOT with the given layout.
-func (s *StorageManager) RetileSOT(video string, sotID int, l Layout) (RetileStats, error) {
-	return s.m.RetileSOT(video, sotID, l)
-}
-
-// RetileSOTContext is RetileSOT under a context: cancellation aborts the
-// decode/re-encode with nothing committed; once the atomic tile swap
-// begins it completes.
+// RetileSOTContext re-encodes one SOT with the given layout (one that does
+// not cover the video's frame fails with ErrInvalidRange). Cancellation
+// aborts the decode/re-encode with nothing committed; once the atomic tile
+// swap begins it completes.
 func (s *StorageManager) RetileSOTContext(ctx context.Context, video string, sotID int, l Layout) (RetileStats, error) {
 	return s.m.RetileSOTContext(ctx, video, sotID, l)
 }
@@ -725,63 +678,41 @@ func (s *StorageManager) DesignLayout(video string, sotID int, labels []string) 
 	if err != nil {
 		return Layout{}, err
 	}
-	for _, sot := range meta.SOTs {
-		if sot.ID != sotID {
-			continue
-		}
-		var boxes []Rect
-		for _, label := range labels {
-			bs, err := s.m.Index().LookupBoxes(video, label, sot.From, sot.To)
-			if err != nil {
-				return Layout{}, err
-			}
-			boxes = append(boxes, bs...)
-		}
-		cfg := s.m.Config()
-		return layout.Partition(boxes, cfg.Granularity, cfg.Constraints(meta.W, meta.H))
+	sot, err := meta.SOTByID(sotID)
+	if err != nil {
+		return Layout{}, err
 	}
-	return Layout{}, fmt.Errorf("tasm: %w: video %q has no SOT %d", ErrSOTNotFound, video, sotID)
+	return policy.DesignLayout(s.m, video, sot, labels, s.m.Config().Granularity)
 }
 
-// PlanKQKO computes the known-queries/known-objects plan for a workload
-// and applies it (paper §4.2). It returns the number of SOTs re-tiled.
-func (s *StorageManager) PlanKQKO(video string, workload []Query) (int, error) {
-	return s.PlanKQKOContext(context.Background(), video, workload)
-}
-
-// PlanKQKOContext is PlanKQKO under a context; cancellation stops between
-// (or within) re-tiles, leaving completed ones committed.
-func (s *StorageManager) PlanKQKOContext(ctx context.Context, video string, workload []Query) (int, error) {
-	k := policy.NewKQKO()
-	cfg := s.m.Config()
-	k.Granularity = cfg.Granularity
-	k.Alpha = cfg.Alpha
-	actions, err := k.Plan(s.m, video, workload)
+// applyPlan executes a tiling policy's plan and returns the number of SOTs
+// re-tiled; err is the planner's own failure, passed through.
+func applyPlan(ctx context.Context, m *core.Manager, actions []policy.Action, err error) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := policy.Apply(ctx, s.m, actions); err != nil {
+	if _, err := policy.Apply(ctx, m, actions); err != nil {
 		return 0, err
 	}
 	return len(actions), nil
 }
 
-// PretileAllObjects tiles every SOT around all indexed objects (the
-// paper's "all objects" baseline). It returns the number of SOTs re-tiled.
-func (s *StorageManager) PretileAllObjects(video string) (int, error) {
-	return s.PretileAllObjectsContext(context.Background(), video)
+// PlanKQKOContext computes the known-queries/known-objects plan for a
+// workload and applies it (paper §4.2). It returns the number of SOTs
+// re-tiled; cancellation stops between (or within) re-tiles, leaving
+// completed ones committed.
+func (s *StorageManager) PlanKQKOContext(ctx context.Context, video string, workload []Query) (int, error) {
+	cfg := s.m.Config()
+	k := policy.KQKO{Granularity: cfg.Granularity, Alpha: cfg.Alpha}
+	actions, err := k.Plan(s.m, video, workload)
+	return applyPlan(ctx, s.m, actions, err)
 }
 
-// PretileAllObjectsContext is PretileAllObjects under a context.
+// PretileAllObjectsContext tiles every SOT around all indexed objects (the
+// paper's "all objects" baseline). It returns the number of SOTs re-tiled.
 func (s *StorageManager) PretileAllObjectsContext(ctx context.Context, video string) (int, error) {
 	actions, err := policy.AllObjects(s.m, video, s.m.Config().Granularity)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := policy.Apply(ctx, s.m, actions); err != nil {
-		return 0, err
-	}
-	return len(actions), nil
+	return applyPlan(ctx, s.m, actions, err)
 }
 
 // Detected reports whether frames [from, to) of video have been fully
@@ -807,23 +738,12 @@ func (s *StorageManager) NewLazyTiler(queryClasses []string) *LazyTiler {
 	return &LazyTiler{p: p, m: s.m}
 }
 
-// ObserveQuery is called after a query's detections have been indexed; it
-// re-tiles any SOTs whose object locations have become fully known and
-// returns how many were re-tiled.
-func (lt *LazyTiler) ObserveQuery(q Query) (int, error) {
-	return lt.ObserveQueryContext(context.Background(), q)
-}
-
-// ObserveQueryContext is ObserveQuery under a context.
+// ObserveQueryContext is called after a query's detections have been
+// indexed; it re-tiles any SOTs whose object locations have become fully
+// known and returns how many were re-tiled.
 func (lt *LazyTiler) ObserveQueryContext(ctx context.Context, q Query) (int, error) {
 	actions, err := lt.p.ObserveQuery(lt.m, q)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := policy.Apply(ctx, lt.m, actions); err != nil {
-		return 0, err
-	}
-	return len(actions), nil
+	return applyPlan(ctx, lt.m, actions, err)
 }
 
 // UniformLayout builds an aligned rows×cols layout for a stored video.
@@ -836,13 +756,8 @@ func (s *StorageManager) UniformLayout(video string, rows, cols int) (Layout, er
 	return layout.Uniform(rows, cols, cfg.Constraints(meta.W, meta.H))
 }
 
-// ExportStitched homomorphically stitches one SOT's tiles into a single
-// serialized video stream without transcoding.
-func (s *StorageManager) ExportStitched(video string, sotID int) ([]byte, error) {
-	return s.ExportStitchedContext(context.Background(), video, sotID)
-}
-
-// ExportStitchedContext is ExportStitched under a context.
+// ExportStitchedContext homomorphically stitches one SOT's tiles into a
+// single serialized video stream without transcoding.
 func (s *StorageManager) ExportStitchedContext(ctx context.Context, video string, sotID int) ([]byte, error) {
 	st, err := s.m.StitchSOTContext(ctx, video, sotID)
 	if err != nil {
@@ -851,7 +766,7 @@ func (s *StorageManager) ExportStitchedContext(ctx context.Context, video string
 	return st.Bytes(), nil
 }
 
-// DecodeStitched decodes a stream produced by ExportStitched back into
+// DecodeStitched decodes a stream produced by ExportStitchedContext back into
 // full frames.
 func DecodeStitched(data []byte) ([]*Frame, error) {
 	st, err := container.ParseStitched(data)
@@ -861,9 +776,3 @@ func DecodeStitched(data []byte) ([]*Frame, error) {
 	frames, _, err := st.DecodeRange(0, st.FrameCount())
 	return frames, err
 }
-
-// CostModel exposes the calibrated decode cost model C = β·P + γ·T.
-type CostModel = costmodel.Model
-
-// DefaultCostModel returns the default cost coefficients.
-func DefaultCostModel() CostModel { return costmodel.Default() }

@@ -26,6 +26,7 @@ func makeVideo(t *testing.T) *scene.Video {
 
 func openManager(t *testing.T, opts ...Option) (*StorageManager, *scene.Video) {
 	t.Helper()
+	ctx := context.Background()
 	opts = append([]Option{WithGOPLength(10), WithMinTileSize(32, 32)}, opts...)
 	sm, err := Open(t.TempDir(), opts...)
 	if err != nil {
@@ -33,7 +34,7 @@ func openManager(t *testing.T, opts ...Option) (*StorageManager, *scene.Video) {
 	}
 	t.Cleanup(func() { sm.Close() })
 	v := makeVideo(t)
-	if _, err := sm.Ingest("traffic", v.Frames(0, v.Spec.NumFrames()), v.Spec.FPS); err != nil {
+	if _, err := sm.IngestContext(ctx, "traffic", v.Frames(0, v.Spec.NumFrames()), v.Spec.FPS); err != nil {
 		t.Fatal(err)
 	}
 	for f := 0; f < v.Spec.NumFrames(); f++ {
@@ -47,8 +48,9 @@ func openManager(t *testing.T, opts ...Option) (*StorageManager, *scene.Video) {
 }
 
 func TestEndToEndScan(t *testing.T) {
+	ctx := context.Background()
 	sm, _ := openManager(t)
-	res, st, err := sm.ScanSQL("SELECT car FROM traffic WHERE 0 <= t < 10")
+	res, st, err := sm.ScanSQLContext(ctx, "SELECT car FROM traffic WHERE 0 <= t < 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +68,15 @@ func TestEndToEndScan(t *testing.T) {
 }
 
 func TestScanSQLParseError(t *testing.T) {
+	ctx := context.Background()
 	sm, _ := openManager(t)
-	if _, _, err := sm.ScanSQL("garbage"); err == nil {
+	if _, _, err := sm.ScanSQLContext(ctx, "garbage"); err == nil {
 		t.Error("bad SQL accepted")
 	}
 }
 
 func TestDesignAndRetile(t *testing.T) {
+	ctx := context.Background()
 	sm, _ := openManager(t)
 	l, err := sm.DesignLayout("traffic", 0, []string{"car"})
 	if err != nil {
@@ -81,11 +85,11 @@ func TestDesignAndRetile(t *testing.T) {
 	if l.IsSingle() {
 		t.Fatal("expected a tiled layout for sparse video")
 	}
-	_, before, _ := sm.ScanSQL("SELECT car FROM traffic WHERE 0 <= t < 10")
-	if _, err := sm.RetileSOT("traffic", 0, l); err != nil {
+	_, before, _ := sm.ScanSQLContext(ctx, "SELECT car FROM traffic WHERE 0 <= t < 10")
+	if _, err := sm.RetileSOTContext(ctx, "traffic", 0, l); err != nil {
 		t.Fatal(err)
 	}
-	_, after, _ := sm.ScanSQL("SELECT car FROM traffic WHERE 0 <= t < 10")
+	_, after, _ := sm.ScanSQLContext(ctx, "SELECT car FROM traffic WHERE 0 <= t < 10")
 	if after.PixelsDecoded >= before.PixelsDecoded {
 		t.Errorf("retile did not reduce pixels: %d -> %d", before.PixelsDecoded, after.PixelsDecoded)
 	}
@@ -95,12 +99,13 @@ func TestDesignAndRetile(t *testing.T) {
 }
 
 func TestPlanKQKO(t *testing.T) {
+	ctx := context.Background()
 	sm, _ := openManager(t)
 	q, err := ParseQuery("SELECT car FROM traffic WHERE 0 <= t < 20")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := sm.PlanKQKO("traffic", []Query{q})
+	n, err := sm.PlanKQKOContext(ctx, "traffic", []Query{q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +119,9 @@ func TestPlanKQKO(t *testing.T) {
 }
 
 func TestPretileAllObjects(t *testing.T) {
+	ctx := context.Background()
 	sm, _ := openManager(t)
-	n, err := sm.PretileAllObjects("traffic")
+	n, err := sm.PretileAllObjectsContext(ctx, "traffic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +131,11 @@ func TestPretileAllObjects(t *testing.T) {
 }
 
 func TestAdaptiveTiling(t *testing.T) {
+	ctx := context.Background()
 	sm, _ := openManager(t, WithAdaptiveTiling(), WithEta(0))
 	// With η=0, the first query is evidence enough to retile the touched
 	// SOT; Kick runs the background decision cycle synchronously.
-	if _, _, err := sm.ScanSQL("SELECT car FROM traffic WHERE 0 <= t < 10"); err != nil {
+	if _, _, err := sm.ScanSQLContext(ctx, "SELECT car FROM traffic WHERE 0 <= t < 10"); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := sm.AutotileKick(context.Background()); err != nil {
@@ -146,10 +153,11 @@ func TestAdaptiveTiling(t *testing.T) {
 }
 
 func TestStitchExportRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	sm, v := openManager(t)
 	l, _ := sm.DesignLayout("traffic", 0, []string{"car", "person"})
-	sm.RetileSOT("traffic", 0, l)
-	data, err := sm.ExportStitched("traffic", 0)
+	sm.RetileSOTContext(ctx, "traffic", 0, l)
+	data, err := sm.ExportStitchedContext(ctx, "traffic", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +213,7 @@ func TestMarkDetectedRoundTrip(t *testing.T) {
 }
 
 func TestIngestTiledAPI(t *testing.T) {
+	ctx := context.Background()
 	sm, err := Open(t.TempDir(), WithGOPLength(10), WithMinTileSize(32, 32))
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +225,7 @@ func TestIngestTiledAPI(t *testing.T) {
 	for i := range layouts {
 		layouts[i] = Layout{RowHeights: []int{96}, ColWidths: []int{96, 96}}
 	}
-	if _, err := sm.IngestTiled("cam", frames, 10, layouts); err != nil {
+	if _, err := sm.IngestTiledContext(ctx, "cam", frames, 10, layouts); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ := sm.Meta("cam")
@@ -226,16 +235,17 @@ func TestIngestTiledAPI(t *testing.T) {
 }
 
 func TestCacheBudgetAPI(t *testing.T) {
+	ctx := context.Background()
 	sm, _ := openManager(t, WithCacheBudget(64<<20), WithParallelism(2))
 	const sql = "SELECT car FROM traffic WHERE 0 <= t < 30"
-	cold, cs, err := sm.ScanSQL(sql)
+	cold, cs, err := sm.ScanSQLContext(ctx, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs.CacheMisses == 0 || cs.CacheHits != 0 {
 		t.Errorf("cold scan stats = %+v", cs)
 	}
-	warm, ws, err := sm.ScanSQL(sql)
+	warm, ws, err := sm.ScanSQLContext(ctx, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +265,7 @@ func TestCacheBudgetAPI(t *testing.T) {
 	if g := sm.CacheStats(); g.Entries != 0 {
 		t.Errorf("cache not emptied by DeleteVideo: %+v", g)
 	}
-	if _, _, err := sm.ScanSQL(sql); err == nil {
+	if _, _, err := sm.ScanSQLContext(ctx, sql); err == nil {
 		t.Fatal("scan of deleted video succeeded")
 	}
 }
