@@ -386,11 +386,9 @@ func (c *Client) ingest(ctx context.Context, video string, frames []*tasm.Frame,
 	for _, l := range layouts {
 		req.Layouts = append(req.Layouts, rpcwire.FromLayout(l))
 	}
-	var resp rpcwire.IngestStats
-	if err := c.do(ctx, http.MethodPost, "/v1/ingest", req, &resp); err != nil {
-		return tasm.IngestStats{}, err
-	}
-	return resp.ToIngestStats(), nil
+	var st tasm.IngestStats
+	err := c.do(ctx, http.MethodPost, "/v1/ingest", req, &st)
+	return st, err
 }
 
 // ---- semantic index ----
@@ -398,11 +396,7 @@ func (c *Client) ingest(ctx context.Context, video string, frames []*tasm.Frame,
 // AddDetectionsContext records a batch of detections.
 // (Detection batches can be large; the upload honors cancellation.)
 func (c *Client) AddDetectionsContext(ctx context.Context, video string, ds []tasm.Detection) error {
-	req := rpcwire.MetadataRequest{Video: video, Detections: make([]rpcwire.Detection, len(ds))}
-	for i, d := range ds {
-		req.Detections[i] = rpcwire.FromDetection(d)
-	}
-	return c.do(ctx, http.MethodPost, "/v1/metadata", req, nil)
+	return c.do(ctx, http.MethodPost, "/v1/metadata", rpcwire.MetadataRequest{Video: video, Detections: ds}, nil)
 }
 
 // MarkDetectedContext records that frames [from, to) were fully processed by a
@@ -424,11 +418,7 @@ func (c *Client) LookupDetectionsContext(ctx context.Context, video, label strin
 	if err := c.do(ctx, http.MethodGet, "/v1/detections?"+q.Encode(), nil, &resp); err != nil {
 		return nil, err
 	}
-	out := make([]tasm.Detection, len(resp.Detections))
-	for i, d := range resp.Detections {
-		out[i] = d.ToDetection()
-	}
-	return out, nil
+	return resp.Detections, nil
 }
 
 // ---- scans ----
@@ -531,42 +521,34 @@ func (c *Client) DesignLayoutContext(ctx context.Context, video string, sotID in
 // context.
 func (c *Client) RetileSOTContext(ctx context.Context, video string, sotID int, l tasm.Layout) (tasm.RetileStats, error) {
 	req := rpcwire.RetileRequest{Video: video, SOT: sotID, Layout: rpcwire.FromLayout(l)}
-	var resp rpcwire.RetileStats
-	if err := c.do(ctx, http.MethodPost, "/v1/retile", req, &resp); err != nil {
-		return tasm.RetileStats{}, err
-	}
-	return resp.ToRetileStats(), nil
+	var st tasm.RetileStats
+	err := c.do(ctx, http.MethodPost, "/v1/retile", req, &st)
+	return st, err
 }
 
 // ---- maintenance ----
 
 // GCContext reclaims dead storage server-side.
 func (c *Client) GCContext(ctx context.Context) (tasm.GCReport, error) {
-	var resp rpcwire.GCReport
-	if err := c.do(ctx, http.MethodPost, "/v1/gc", nil, &resp); err != nil {
-		return tasm.GCReport{}, err
-	}
-	return resp.ToGCReport(), nil
+	var rep tasm.GCReport
+	err := c.do(ctx, http.MethodPost, "/v1/gc", nil, &rep)
+	return rep, err
 }
 
 // FSCKContext verifies the server's store against the bytes on disk.
 func (c *Client) FSCKContext(ctx context.Context) (tasm.FsckReport, error) {
-	var resp rpcwire.FsckReport
-	if err := c.do(ctx, http.MethodPost, "/v1/fsck", nil, &resp); err != nil {
-		return tasm.FsckReport{}, err
-	}
-	return resp.ToFsckReport(), nil
+	var rep tasm.FsckReport
+	err := c.do(ctx, http.MethodPost, "/v1/fsck", nil, &rep)
+	return rep, err
 }
 
 // RepairStoreContext quarantines corrupt tile versions server-side and falls
 // back to the newest intact earlier version of each — the storage half
 // of `tasmctl fsck -repair`, run against a remote daemon.
 func (c *Client) RepairStoreContext(ctx context.Context) (tasm.RepairReport, error) {
-	var resp rpcwire.StoreRepairReport
-	if err := c.do(ctx, http.MethodPost, "/v1/repairstore", nil, &resp); err != nil {
-		return tasm.RepairReport{}, err
-	}
-	return resp.ToStoreRepairReport(), nil
+	var rep tasm.RepairReport
+	err := c.do(ctx, http.MethodPost, "/v1/repairstore", nil, &rep)
+	return rep, err
 }
 
 // RepairPointersContext re-materializes one video's box→tile index pointers
@@ -578,52 +560,28 @@ func (c *Client) RepairPointersContext(ctx context.Context, video string) error 
 // CacheStatsContext snapshots the daemon's decoded-tile cache counters.
 // Unlike the in-process form this can fail (the daemon may be down).
 func (c *Client) CacheStatsContext(ctx context.Context) (tasm.CacheStats, error) {
-	var resp rpcwire.CacheStats
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &resp); err != nil {
-		return tasm.CacheStats{}, err
-	}
-	return resp.ToCacheStats(), nil
+	var st tasm.CacheStats
+	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st)
+	return st, err
 }
 
-// ShardStats is one shard's contribution to a tasm-router's stats
-// aggregation, as reported by ShardCacheStats.
-type ShardStats struct {
-	// Shard and Addr identify the shard in the router's map.
-	Shard string
-	Addr  string
-	// Healthy is the router's breaker view of the shard.
-	Healthy bool
-	// Err is the router's fetch failure for this shard's snapshot,
-	// empty on success (Stats is then zero).
-	Err   string
-	Stats tasm.CacheStats
-}
-
-// ShardCacheStats fetches cache stats together with the per-shard
-// breakdown a tasm-router includes in its aggregation. Against a plain
-// tasmd the breakdown is nil and the stats are the daemon's own —
-// callers distinguish a router by a non-nil breakdown, which is how
-// `tasmctl stats` decides whether to print the per-shard table.
-func (c *Client) ShardCacheStats(ctx context.Context) (tasm.CacheStats, []ShardStats, error) {
-	var resp rpcwire.ShardedCacheStats
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &resp); err != nil {
-		return tasm.CacheStats{}, nil, err
-	}
-	var shards []ShardStats
-	for _, s := range resp.Shards {
-		shards = append(shards, ShardStats{Shard: s.Shard, Addr: s.Addr, Healthy: s.Healthy, Err: s.Error, Stats: s.Stats.ToCacheStats()})
-	}
-	return resp.ToCacheStats(), shards, nil
+// StatsContext fetches GET /v1/stats whole: the totals together with
+// the per-shard breakdown a tasm-router includes in its aggregation.
+// Against a plain tasmd Shards is nil and the totals are the daemon's
+// own — callers distinguish a router by a non-nil breakdown, which is
+// how `tasmctl stats` decides whether to print the per-shard table.
+func (c *Client) StatsContext(ctx context.Context) (rpcwire.ShardedCacheStats, error) {
+	var st rpcwire.ShardedCacheStats
+	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st)
+	return st, err
 }
 
 // AutotileStatusContext snapshots the daemon's background adaptive-tiling
 // subsystem; Enabled false means the daemon runs without -autotile.
 func (c *Client) AutotileStatusContext(ctx context.Context) (tasm.AutotileStatus, error) {
-	var resp rpcwire.AutotileStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/autotile/status", nil, &resp); err != nil {
-		return tasm.AutotileStatus{}, err
-	}
-	return resp.ToAutotileStatus(), nil
+	var st tasm.AutotileStatus
+	err := c.do(ctx, http.MethodGet, "/v1/autotile/status", nil, &st)
+	return st, err
 }
 
 // AutotilePauseContext suspends the daemon's background re-tiling; observation

@@ -164,7 +164,7 @@ func (s *stream) next() (rpcwire.StreamLine, bool) {
 		s.fail(rpcwire.DecodeError(*line.Error))
 		return rpcwire.StreamLine{}, false
 	case line.Stats != nil:
-		s.stats = line.Stats.ToScanStats()
+		s.stats = *line.Stats
 		s.done = true
 		s.teardown()
 		return rpcwire.StreamLine{}, false

@@ -28,7 +28,7 @@ import (
 // CreateLiveContext opens an append-mode video on the daemon. pol (optional)
 // bounds retained history.
 func (c *Client) CreateLiveContext(ctx context.Context, video string, w, h, fps int, pol *tasm.RetentionPolicy) error {
-	req := rpcwire.CreateLiveRequest{Video: video, W: w, H: h, FPS: fps, Retention: rpcwire.FromRetentionPolicy(pol)}
+	req := rpcwire.CreateLiveRequest{Video: video, W: w, H: h, FPS: fps, Retention: pol}
 	return c.do(ctx, http.MethodPost, "/v1/live", req, nil)
 }
 
@@ -39,7 +39,7 @@ func (c *Client) CreateLiveContext(ctx context.Context, video string, w, h, fps 
 // the server chunks the frames into GOP-length SOTs, each visible to
 // subscribers atomically at its commit.
 func (c *Client) AppendContext(ctx context.Context, video string, frames []*tasm.Frame) (tasm.AppendStats, error) {
-	var resp rpcwire.AppendStats
+	var st tasm.AppendStats
 	if c.enc == Binary {
 		var buf bytes.Buffer
 		fw := rpcwire.NewFrameStreamWriter(&buf)
@@ -53,19 +53,15 @@ func (c *Client) AppendContext(ctx context.Context, video string, frames []*tasm
 			return tasm.AppendStats{}, fmt.Errorf("client: framing append body: %w", err)
 		}
 		path := "/v1/append?video=" + url.QueryEscape(video)
-		if err := c.doRaw(ctx, path, rpcwire.ContentTypeBinary, buf.Bytes(), &resp); err != nil {
-			return tasm.AppendStats{}, err
-		}
-		return resp.ToAppendStats(), nil
+		err := c.doRaw(ctx, path, rpcwire.ContentTypeBinary, buf.Bytes(), &st)
+		return st, err
 	}
 	req := rpcwire.AppendRequest{Video: video, Frames: make([]rpcwire.Frame, len(frames))}
 	for i, f := range frames {
 		req.Frames[i] = rpcwire.FromFrame(f)
 	}
-	if err := c.do(ctx, http.MethodPost, "/v1/append", req, &resp); err != nil {
-		return tasm.AppendStats{}, err
-	}
-	return resp.ToAppendStats(), nil
+	err := c.do(ctx, http.MethodPost, "/v1/append", req, &st)
+	return st, err
 }
 
 // SealContext converts a live video into an ordinary batch video; appends
@@ -78,12 +74,9 @@ func (c *Client) SealContext(ctx context.Context, video string) error {
 // SetRetentionContext replaces a live video's retention policy (nil clears
 // it), returning what the immediate application trimmed.
 func (c *Client) SetRetentionContext(ctx context.Context, video string, pol *tasm.RetentionPolicy) (tasm.TrimReport, error) {
-	req := rpcwire.RetentionRequest{Video: video, Retention: rpcwire.FromRetentionPolicy(pol)}
-	var resp rpcwire.TrimReport
-	if err := c.do(ctx, http.MethodPost, "/v1/retention", req, &resp); err != nil {
-		return tasm.TrimReport{}, err
-	}
-	return resp.ToTrimReport(), nil
+	var rep tasm.TrimReport
+	err := c.do(ctx, http.MethodPost, "/v1/retention", rpcwire.RetentionRequest{Video: video, Retention: pol}, &rep)
+	return rep, err
 }
 
 // Subscribe opens a live tail on video from frame from (the resume

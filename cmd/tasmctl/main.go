@@ -343,8 +343,8 @@ type backend interface {
 }
 
 // remote is *client.Client as a backend. The client already has the
-// Backend's method set; only its stream constructors and stats call
-// return its own public types, which these lift to the interface's.
+// Backend's method set; only its stream constructors return its own
+// public types, which these lift to the interface's.
 type remote struct{ *client.Client }
 
 func (r remote) ScanCursor(ctx context.Context, q tasm.Query) (api.Cursor[tasm.RegionResult], error) {
@@ -357,16 +357,6 @@ func (r remote) DecodeFramesCursor(ctx context.Context, video string, from, to i
 
 func (r remote) Subscribe(ctx context.Context, video string, from int) (api.Cursor[tasm.FrameResult], error) {
 	return api.Lift[tasm.FrameResult](r.Client.Subscribe(ctx, video, from))
-}
-
-func (r remote) StatsContext(ctx context.Context) (rpcwire.ShardedCacheStats, error) {
-	st, shards, err := r.ShardCacheStats(ctx)
-	out := rpcwire.ShardedCacheStats{CacheStats: rpcwire.FromCacheStats(st)}
-	for _, s := range shards {
-		out.Shards = append(out.Shards, rpcwire.ShardCacheStats{
-			Shard: s.Shard, Addr: s.Addr, Healthy: s.Healthy, Error: s.Err, Stats: rpcwire.FromCacheStats(s.Stats)})
-	}
-	return out, err
 }
 
 // connFlags is the connection contract every subcommand shares:
@@ -644,17 +634,6 @@ func cmdQuery(ctx context.Context, args []string) error {
 	return nil
 }
 
-// statsShardJSON is one shard's row in `stats -json` output; the field
-// names are part of the CLI contract, so they are pinned here rather
-// than inherited from the client structs.
-type statsShardJSON struct {
-	Shard   string           `json:"shard"`
-	Addr    string           `json:"addr"`
-	Healthy bool             `json:"healthy"`
-	Error   string           `json:"error,omitempty"`
-	Stats   *tasm.CacheStats `json:"stats,omitempty"`
-}
-
 func cmdStats(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	dir := fs.String("dir", "tasmdb", "storage directory")
@@ -675,23 +654,16 @@ func cmdStats(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	st, shards := sharded.ToCacheStats(), sharded.Shards
+	st, shards := sharded.Stats, sharded.Shards
 	if *asJSON {
-		out := struct {
-			Totals tasm.CacheStats  `json:"totals"`
-			Shards []statsShardJSON `json:"shards,omitempty"`
-		}{Totals: st}
-		for _, s := range shards {
-			row := statsShardJSON{Shard: s.Shard, Addr: s.Addr, Healthy: s.Healthy, Error: s.Error}
-			if s.Error == "" {
-				stats := s.Stats.ToCacheStats()
-				row.Stats = &stats
-			}
-			out.Shards = append(out.Shards, row)
-		}
+		// The totals and each shard row are GET /v1/stats's own objects,
+		// so the CLI and a curl user read the same key names.
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(out)
+		return enc.Encode(struct {
+			Totals tasm.CacheStats           `json:"totals"`
+			Shards []rpcwire.ShardCacheStats `json:"shards,omitempty"`
+		}{st, shards})
 	}
 	for _, s := range shards {
 		health := "up"

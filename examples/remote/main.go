@@ -56,10 +56,8 @@ func main() {
 	defer srv.Shutdown(context.Background())
 	fmt.Printf("tasmd serving %s on http://%s\n", dir, ln.Addr())
 
-	// Deliberately the v1 constructor: this example doubles as the
-	// compile-time proof that the deprecated Dial shim keeps old
-	// callers working.
-	//lint:ignore SA1019 exercises the v1 compatibility shim
+	// No options: the defaults (NDJSON streams, no auth, no retry) are
+	// what a first caller gets.
 	c, err := client.New(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)

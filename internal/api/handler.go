@@ -458,7 +458,7 @@ func (h *Handler) ingest(ctx context.Context, w http.ResponseWriter, r *http.Req
 	} else {
 		st, err = h.b.IngestContext(ctx, req.Video, frames, req.FPS)
 	}
-	reply(w, rpcwire.FromIngestStats(st), err)
+	reply(w, st, err)
 }
 
 // ---- live ingest ----
@@ -468,7 +468,7 @@ func (h *Handler) createLive(ctx context.Context, w http.ResponseWriter, r *http
 	if !readBody(w, r, &req) {
 		return
 	}
-	reply(w, struct{}{}, h.b.CreateLiveContext(ctx, req.Video, req.W, req.H, req.FPS, req.Retention.ToRetentionPolicy()))
+	reply(w, struct{}{}, h.b.CreateLiveContext(ctx, req.Video, req.W, req.H, req.FPS, req.Retention))
 }
 
 // appendFrames appends a batch of frames to a live video. The body is
@@ -519,7 +519,7 @@ func (h *Handler) appendFrames(ctx context.Context, w http.ResponseWriter, r *ht
 		video = req.Video
 	}
 	st, err := h.b.AppendContext(ctx, video, frames)
-	reply(w, rpcwire.FromAppendStats(st), err)
+	reply(w, st, err)
 }
 
 // subscribe is the live-tail read path: a long-lived stream of whole
@@ -562,8 +562,8 @@ func (h *Handler) retention(ctx context.Context, w http.ResponseWriter, r *http.
 	if !readBody(w, r, &req) {
 		return
 	}
-	rep, err := h.b.SetRetentionContext(ctx, req.Video, req.Retention.ToRetentionPolicy())
-	reply(w, rpcwire.FromTrimReport(rep), err)
+	rep, err := h.b.SetRetentionContext(ctx, req.Video, req.Retention)
+	reply(w, rep, err)
 }
 
 // ---- semantic index ----
@@ -573,11 +573,7 @@ func (h *Handler) metadata(ctx context.Context, w http.ResponseWriter, r *http.R
 	if !readBody(w, r, &req) {
 		return
 	}
-	ds := make([]tasm.Detection, len(req.Detections))
-	for i, d := range req.Detections {
-		ds[i] = d.ToDetection()
-	}
-	reply(w, struct{}{}, h.b.AddDetectionsContext(ctx, req.Video, ds))
+	reply(w, struct{}{}, h.b.AddDetectionsContext(ctx, req.Video, req.Detections))
 }
 
 func (h *Handler) markDetected(ctx context.Context, w http.ResponseWriter, r *http.Request) {
@@ -598,11 +594,10 @@ func (h *Handler) detections(ctx context.Context, w http.ResponseWriter, r *http
 		return
 	}
 	ds, err := h.b.LookupDetectionsContext(ctx, video, label, from, to)
-	resp := rpcwire.DetectionsResponse{Detections: make([]rpcwire.Detection, len(ds))}
-	for i, d := range ds {
-		resp.Detections[i] = rpcwire.FromDetection(d)
+	if ds == nil {
+		ds = []tasm.Detection{} // an empty lookup is "detections":[] on the wire, not null
 	}
-	reply(w, resp, err)
+	reply(w, rpcwire.DetectionsResponse{Detections: ds}, err)
 }
 
 // ---- streaming reads ----
@@ -656,7 +651,7 @@ func (h *Handler) retile(ctx context.Context, w http.ResponseWriter, r *http.Req
 		return
 	}
 	st, err := h.b.RetileSOTContext(ctx, req.Video, req.SOT, req.Layout.ToLayout())
-	reply(w, rpcwire.FromRetileStats(st), err)
+	reply(w, st, err)
 }
 
 func (h *Handler) designLayout(ctx context.Context, w http.ResponseWriter, r *http.Request) {
@@ -672,7 +667,7 @@ func (h *Handler) designLayout(ctx context.Context, w http.ResponseWriter, r *ht
 
 func (h *Handler) gc(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	rep, err := h.b.GCContext(ctx)
-	reply(w, rpcwire.FromGCReport(rep), err)
+	reply(w, rep, err)
 }
 
 // fsck verifies only; pointer repair is its own endpoint (/v1/repair,
@@ -681,7 +676,7 @@ func (h *Handler) gc(ctx context.Context, w http.ResponseWriter, r *http.Request
 // per-video progress, exactly like local tasmctl.
 func (h *Handler) fsck(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	rep, err := h.b.FSCKContext(ctx)
-	reply(w, rpcwire.FromFsckReport(rep), err)
+	reply(w, rep, err)
 }
 
 func (h *Handler) repair(ctx context.Context, w http.ResponseWriter, r *http.Request) {
@@ -698,7 +693,7 @@ func (h *Handler) repair(ctx context.Context, w http.ResponseWriter, r *http.Req
 // one critical section, so there is no per-video progress to stream.
 func (h *Handler) repairStore(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	rep, err := h.b.RepairStoreContext(ctx)
-	reply(w, rpcwire.FromStoreRepairReport(rep), err)
+	reply(w, rep, err)
 }
 
 func (h *Handler) stats(ctx context.Context, w http.ResponseWriter, r *http.Request) {
@@ -711,7 +706,7 @@ func (h *Handler) stats(ctx context.Context, w http.ResponseWriter, r *http.Requ
 // disabled subsystem is not an error).
 func (h *Handler) autotileStatus(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	st, err := h.b.AutotileStatusContext(ctx)
-	reply(w, rpcwire.FromAutotileStatus(st), err)
+	reply(w, st, err)
 }
 
 // autotilePause suspends background re-tiling. The body is an optional

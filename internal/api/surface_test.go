@@ -8,6 +8,7 @@ package api_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -381,4 +382,163 @@ func TestSpanNamesPerTier(t *testing.T) {
 		t.Fatal("no shard recorded the routed scan's trace id")
 	}
 	check("tasmd scan", shardSpans, []string{"auth", "admit", "handle", "flush"}, []string{"route", "merge", "relay"})
+}
+
+// keyPaths collects the dotted key paths of a decoded JSON value
+// ("shards[].stats.hits"), the identity of a response body independent
+// of its values.
+func keyPaths(v any, prefix string, set map[string]bool) {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, e := range v {
+			p := strings.TrimPrefix(prefix+"."+k, ".")
+			set[p] = true
+			keyPaths(e, p, set)
+		}
+	case []any:
+		for _, e := range v {
+			keyPaths(e, prefix+"[]", set)
+		}
+	}
+}
+
+// bodyKeys issues one request (body JSON-encoded when non-nil) and
+// returns the sorted key paths of its 200 response.
+func bodyKeys(t *testing.T, method, url string, body any) string {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd = strings.NewReader(string(b))
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	raw, _ := io.ReadAll(res.Body)
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: status %d: %s", method, url, res.StatusCode, raw)
+	}
+	return sortedKeys(t, raw)
+}
+
+func sortedKeys(t *testing.T, raw []byte) string {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("%v in %q", err, raw)
+	}
+	set := map[string]bool{}
+	keyPaths(v, "", set)
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
+}
+
+// statsTrailer runs one scan in the given framing and returns the raw
+// JSON of its terminal stats record.
+func statsTrailer(t *testing.T, base, accept, sql string) []byte {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/scan", strings.NewReader(`{"sql":"`+sql+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", accept)
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	raw, _ := io.ReadAll(res.Body)
+	if res.StatusCode != http.StatusOK || res.Header.Get("Content-Type") != accept {
+		t.Fatalf("scan as %s: status %d, content type %q", accept, res.StatusCode, res.Header.Get("Content-Type"))
+	}
+	if accept == rpcwire.ContentTypeNDJSON {
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		var last struct {
+			Stats json.RawMessage `json:"stats"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Stats == nil {
+			t.Fatalf("NDJSON stream does not end in a stats line: %q", lines[len(lines)-1])
+		}
+		return last.Stats
+	}
+	// Binary framing: the terminal record is 'S', u32 length, flat JSON
+	// — the last '{' in the body opens it.
+	open := strings.LastIndexByte(string(raw), '{')
+	if open < 5 || raw[open-5] != 'S' || int(binary.LittleEndian.Uint32(raw[open-4:])) != len(raw)-open {
+		t.Fatalf("binary stream does not end in a stats record")
+	}
+	return raw[open:]
+}
+
+// TestResponseKeysGolden: the JSON keys of every response that is now
+// an in-process type encoded as it is — and of the stats trailer in
+// both stream framings — equal the lists below, captured from the
+// commit whose rpcwire still declared a mirror struct for each. The
+// same bodies come back from tasmd and through the router, whose
+// /v1/stats adds the per-shard breakdown.
+func TestResponseKeysGolden(t *testing.T) {
+	const (
+		ingestKeys = "bytes encode_wall_ns sots"
+		cacheKeys  = "budget bytes_cached entries evictions hits invalidations misses"
+		scanKeys   = "assemble_wall_ns cache_evictions cache_hits cache_misses decode_wall_ns frames_decoded index_wall_ns pixels_decoded regions_returned sots_touched tiles_decoded"
+	)
+	tasmds, router := daemons(t)
+	for tier, base := range map[string]string{"tasmd": tasmds[0], "router": router} {
+		frames := make([]rpcwire.Frame, 10)
+		for i := range frames {
+			frames[i] = rpcwire.FromFrame(tasm.NewFrame(128, 64))
+		}
+		statsKeys := cacheKeys
+		if tier == "router" {
+			statsKeys += " shards shards[].addr shards[].healthy shards[].shard shards[].stats"
+			for _, k := range strings.Fields(cacheKeys) {
+				statsKeys += " shards[].stats." + k
+			}
+		}
+		det := tasm.Detection{Frame: 1, Label: "car", Box: tasm.Rect{X0: 10, Y0: 10, X1: 40, Y1: 40}}
+		for _, step := range []struct {
+			method, path string
+			body         any
+			want         string
+		}{
+			{"POST", "/v1/ingest", rpcwire.IngestRequest{Video: "v", FPS: 10, Frames: frames}, ingestKeys},
+			{"POST", "/v1/metadata", rpcwire.MetadataRequest{Video: "v", Detections: []tasm.Detection{det}}, ""},
+			{"GET", "/v1/detections?video=v&label=car&from=0&to=10", nil,
+				"detections detections[].box detections[].box.x0 detections[].box.x1 detections[].box.y0 detections[].box.y1 detections[].frame detections[].label"},
+			{"POST", "/v1/retile", rpcwire.RetileRequest{Video: "v", SOT: 0,
+				Layout: rpcwire.Layout{RowHeights: []int{64}, ColWidths: []int{64, 64}}}, "bytes decode_wall_ns encode_wall_ns"},
+			{"POST", "/v1/live", rpcwire.CreateLiveRequest{Video: "cam", W: 128, H: 64, FPS: 10}, ""},
+			{"POST", "/v1/append", rpcwire.AppendRequest{Video: "cam", Frames: frames}, "bytes encode_wall_ns frame_count frames sots"},
+			{"POST", "/v1/retention", rpcwire.RetentionRequest{Video: "cam", Retention: &tasm.RetentionPolicy{MaxAgeFrames: 1}},
+				"freed_bytes removed trimmed_to"},
+			{"POST", "/v1/gc", nil, "deferred removed"},
+			{"POST", "/v1/fsck", nil, "leases orphans problems sots tiles videos"},
+			{"POST", "/v1/repairstore", nil, "quarantined reverted videos"},
+			{"GET", "/v1/stats", nil, statsKeys},
+			{"GET", "/v1/autotile/status", nil,
+				"actions_applied actions_failed bytes_spent enabled io_budget paused queries_dropped queries_observed queries_pending regret"},
+		} {
+			if got := bodyKeys(t, step.method, base+step.path, step.body); got != step.want {
+				t.Errorf("%s: %s %s keys:\n got %s\nwant %s", tier, step.method, step.path, got, step.want)
+			}
+		}
+		for _, accept := range []string{rpcwire.ContentTypeNDJSON, rpcwire.ContentTypeBinary} {
+			if got := sortedKeys(t, statsTrailer(t, base, accept, "SELECT car FROM v")); got != scanKeys {
+				t.Errorf("%s: stats trailer as %s:\n got %s\nwant %s", tier, accept, got, scanKeys)
+			}
+		}
+	}
 }

@@ -98,7 +98,7 @@ func templateDirFor(o Options, m *micro, root string) (string, error) {
 		return "", err
 	}
 	for _, label := range m.video.Classes() {
-		if err := mgr.Index().MarkDetected(m.preset.Spec.Name, label, 0, m.numFrames); err != nil {
+		if err := mgr.MarkDetected(m.preset.Spec.Name, label, 0, m.numFrames); err != nil {
 			mgr.Close()
 			return "", err
 		}

@@ -178,9 +178,9 @@ func (m *Manager) Meta(video string) (tilestore.VideoMeta, error) { return m.sto
 
 // IngestStats reports the work done by an ingest.
 type IngestStats struct {
-	EncodeWall time.Duration
-	Bytes      int64
-	SOTs       int
+	EncodeWall time.Duration `json:"encode_wall_ns"`
+	Bytes      int64         `json:"bytes"`
+	SOTs       int           `json:"sots"`
 }
 
 // IngestContext stores frames as an untiled video: one SOT per GOP, each
@@ -272,14 +272,35 @@ func (m *Manager) IngestTiledContext(ctx context.Context, video string, frames [
 // AddMetadata records an object detection, the paper's
 // AddMetadata(video, frame, label, x1, y1, x2, y2) call.
 func (m *Manager) AddMetadata(video string, frameIdx int, label string, x1, y1, x2, y2 int) error {
-	return m.index.Add(video, semindex.Detection{
+	return m.AddDetections(video, []semindex.Detection{{
 		Frame: frameIdx, Label: label, Box: geom.R(x1, y1, x2, y2),
-	})
+	}})
 }
 
 // AddDetections records a batch of detections.
 func (m *Manager) AddDetections(video string, ds []semindex.Detection) error {
-	return m.index.AddBatch(video, ds)
+	return m.indexWrite(video, func() error { return m.index.AddBatch(video, ds) })
+}
+
+// MarkDetected records that frames [from, to) of video were fully
+// processed by a detector for label.
+func (m *Manager) MarkDetected(video, label string, from, to int) error {
+	return m.indexWrite(video, func() error { return m.index.MarkDetected(video, label, from, to) })
+}
+
+// indexWrite runs a semantic-index write for a video the catalog holds;
+// any other name is tasmerr.ErrVideoNotFound. Index rows for a name
+// with no video could not be removed (DeleteVideo refuses the name) and
+// would be inherited by the next ingest under it. planMu, held shared,
+// orders the check-then-write against DeleteVideo's index-then-store
+// commit.
+func (m *Manager) indexWrite(video string, write func() error) error {
+	m.planMu.RLock()
+	defer m.planMu.RUnlock()
+	if _, err := m.store.Meta(video); err != nil {
+		return err
+	}
+	return write()
 }
 
 // RegionResult is one retrieved pixel region: the requested rectangle
@@ -297,23 +318,23 @@ type RegionResult struct {
 // decoded tiles into result pixels is reported separately as AssembleWall,
 // so the paper's metric is not inflated by assembly.
 type ScanStats struct {
-	IndexWall       time.Duration
-	DecodeWall      time.Duration
-	AssembleWall    time.Duration
-	PixelsDecoded   int64
-	TilesDecoded    int
-	FramesDecoded   int64
-	RegionsReturned int
-	SOTsTouched     int
+	IndexWall       time.Duration `json:"index_wall_ns"`
+	DecodeWall      time.Duration `json:"decode_wall_ns"`
+	AssembleWall    time.Duration `json:"assemble_wall_ns"`
+	PixelsDecoded   int64         `json:"pixels_decoded"`
+	TilesDecoded    int           `json:"tiles_decoded"`
+	FramesDecoded   int64         `json:"frames_decoded"`
+	RegionsReturned int           `json:"regions_returned"`
+	SOTsTouched     int           `json:"sots_touched"`
 	// CacheHits counts (SOT, tile) decode requests served from the
 	// decoded-tile cache; CacheMisses counts the ones that had to decode
 	// from disk; CacheEvictions counts entries evicted to make room for
 	// this request's decodes. All zero when the cache is disabled (then
 	// every request is a disk decode, but not a "miss" of a cache that
 	// does not exist).
-	CacheHits      int
-	CacheMisses    int
-	CacheEvictions int
+	CacheHits      int `json:"cache_hits"`
+	CacheMisses    int `json:"cache_misses"`
+	CacheEvictions int `json:"cache_evictions"`
 }
 
 // Add folds o into s. Every field is additive (walls sum sequential
@@ -864,9 +885,9 @@ func (m *Manager) decodeFramesLeased(ctx context.Context, video string, meta til
 
 // RetileStats reports the work of a re-tiling operation.
 type RetileStats struct {
-	DecodeWall time.Duration
-	EncodeWall time.Duration
-	Bytes      int64
+	DecodeWall time.Duration `json:"decode_wall_ns"`
+	EncodeWall time.Duration `json:"encode_wall_ns"`
+	Bytes      int64         `json:"bytes"`
 }
 
 // PointerRefreshError reports that a re-tile committed its tile swap but

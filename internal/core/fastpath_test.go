@@ -3,13 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
 	"github.com/tasm-repro/tasm/internal/frame"
+	"github.com/tasm-repro/tasm/internal/geom"
 	"github.com/tasm-repro/tasm/internal/layout"
 	"github.com/tasm-repro/tasm/internal/query"
 	"github.com/tasm-repro/tasm/internal/scene"
+	"github.com/tasm-repro/tasm/internal/semindex"
+	"github.com/tasm-repro/tasm/internal/tasmerr"
 )
 
 // newCachedManager builds the standard test manager with the decoded-tile
@@ -259,6 +263,52 @@ func TestDeleteVideoDropsCache(t *testing.T) {
 	}
 	if len(res) != 0 {
 		t.Fatalf("re-ingested video served %d stale regions", len(res))
+	}
+}
+
+// TestIndexWritesNeedAStoredVideo: the three index-write entry points
+// refuse a name the catalog does not hold. Accepted, such rows could
+// never be removed (DeleteVideo refuses the name too) and the next
+// ingest under that name would be scanned with them.
+func TestIndexWritesNeedAStoredVideo(t *testing.T) {
+	ctx := context.Background()
+	m, err := Open(t.TempDir(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	det := semindex.Detection{Frame: 1, Label: "car", Box: geom.R(10, 10, 40, 40)}
+	for name, err := range map[string]error{
+		"AddMetadata":   m.AddMetadata("ghost", 1, "car", 10, 10, 40, 40),
+		"AddDetections": m.AddDetections("ghost", []semindex.Detection{det}),
+		"MarkDetected":  m.MarkDetected("ghost", "car", 0, 5),
+	} {
+		if !errors.Is(err, tasmerr.ErrVideoNotFound) {
+			t.Errorf("%s on a video never ingested: %v, want ErrVideoNotFound", name, err)
+		}
+	}
+	if err := m.DeleteVideo("ghost"); !errors.Is(err, tasmerr.ErrVideoNotFound) {
+		t.Fatalf("DeleteVideo(ghost) = %v", err)
+	}
+	fresh := make([]*frame.Frame, 10)
+	for i := range fresh {
+		fresh[i] = frame.New(192, 96)
+	}
+	if _, err := m.IngestContext(ctx, "ghost", fresh, 10); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := m.ScanContext(ctx, mustQuery(t, "SELECT car FROM ghost"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 0 {
+		t.Fatalf("a fresh ingest inherited %d regions from pre-ingest detections", len(res))
+	}
+	if ok, err := m.Index().DetectedAll("ghost", "car", 0, 5); err != nil || ok {
+		t.Fatalf("a fresh ingest inherited detector coverage (%v, %v)", ok, err)
+	}
+	if err := m.AddDetections("ghost", []semindex.Detection{det}); err != nil {
+		t.Fatalf("AddDetections on the ingested video: %v", err)
 	}
 }
 

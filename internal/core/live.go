@@ -46,12 +46,12 @@ func (m *Manager) CreateLiveVideo(video string, w, h, fps int, pol *tilestore.Re
 
 // AppendStats reports the work of one AppendGOPContext call.
 type AppendStats struct {
-	EncodeWall time.Duration
-	Bytes      int64
-	SOTs       int
-	Frames     int
+	EncodeWall time.Duration `json:"encode_wall_ns"`
+	Bytes      int64         `json:"bytes"`
+	SOTs       int           `json:"sots"`
+	Frames     int           `json:"frames"`
 	// FrameCount is the video's append head after this call's commits.
-	FrameCount int
+	FrameCount int `json:"frame_count"`
 }
 
 // AppendGOPContext appends frames to a live video, committing one SOT

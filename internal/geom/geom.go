@@ -13,7 +13,10 @@ import (
 
 // Rect is an axis-aligned rectangle covering [X0,X1) x [Y0,Y1).
 type Rect struct {
-	X0, Y0, X1, Y1 int
+	X0 int `json:"x0"`
+	Y0 int `json:"y0"`
+	X1 int `json:"x1"`
+	Y1 int `json:"y1"`
 }
 
 // R is shorthand for constructing a Rect.

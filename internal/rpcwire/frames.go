@@ -39,6 +39,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"github.com/tasm-repro/tasm/internal/core"
+	"github.com/tasm-repro/tasm/internal/geom"
 )
 
 // Media types and negotiation headers for the streaming endpoints.
@@ -244,7 +247,7 @@ func (r *FrameStreamReader) ReadLine() (StreamLine, error) {
 		}
 		reg := Region{
 			Frame: int(binary.LittleEndian.Uint32(h[0:])),
-			Region: Rect{
+			Region: geom.Rect{
 				X0: int(int32(binary.LittleEndian.Uint32(h[4:]))),
 				Y0: int(int32(binary.LittleEndian.Uint32(h[8:]))),
 				X1: int(int32(binary.LittleEndian.Uint32(h[12:]))),
@@ -266,7 +269,7 @@ func (r *FrameStreamReader) ReadLine() (StreamLine, error) {
 		}
 		return StreamLine{Frame: &fl}, nil
 	case tagStats:
-		var st ScanStats
+		var st core.ScanStats
 		if err := r.readJSONRecord(&st); err != nil {
 			return StreamLine{}, err
 		}

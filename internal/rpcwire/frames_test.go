@@ -9,6 +9,10 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"testing"
+	"time"
+
+	"github.com/tasm-repro/tasm/internal/core"
+	"github.com/tasm-repro/tasm/internal/geom"
 )
 
 // randFrame builds a random even-dimensioned frame with all three
@@ -39,7 +43,7 @@ func randStream(rng *rand.Rand) ([]StreamLine, StreamLine) {
 		if rng.Intn(2) == 0 {
 			lines = append(lines, StreamLine{Region: &Region{
 				Frame: rng.Intn(1 << 20),
-				Region: Rect{X0: rng.Intn(4096), Y0: rng.Intn(4096),
+				Region: geom.Rect{X0: rng.Intn(4096), Y0: rng.Intn(4096),
 					X1: rng.Intn(4096), Y1: rng.Intn(4096)},
 				Pixels: randFrame(rng),
 			}})
@@ -52,8 +56,8 @@ func randStream(rng *rand.Rand) ([]StreamLine, StreamLine) {
 	}
 	sentinels := Sentinels()
 	if rng.Intn(2) == 0 {
-		return lines, StreamLine{Stats: &ScanStats{
-			DecodeWallNs: rng.Int63(), PixelsDecoded: rng.Int63(),
+		return lines, StreamLine{Stats: &core.ScanStats{
+			DecodeWall: time.Duration(rng.Int63()), PixelsDecoded: rng.Int63(),
 			RegionsReturned: n, SOTsTouched: rng.Intn(64),
 		}}
 	}
@@ -223,7 +227,7 @@ func assertFrameEqual(t *testing.T, got, want Frame, enc string, seed int64, i i
 func TestBinaryStreamTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	full := encodeBinary(t, []StreamLine{
-		{Region: &Region{Frame: 3, Region: Rect{X1: 4, Y1: 4}, Pixels: randFrame(rng)}},
+		{Region: &Region{Frame: 3, Region: geom.Rect{X1: 4, Y1: 4}, Pixels: randFrame(rng)}},
 	})
 	for _, cut := range []int{4, 9, 20, len(full) - 1} {
 		r := NewFrameStreamReader(bytes.NewReader(full[:cut]))

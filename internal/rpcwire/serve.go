@@ -154,7 +154,7 @@ func ServeStream[C StreamSource](w http.ResponseWriter, r *http.Request, cur C, 
 		_, body := EncodeError(err)
 		final.Error = &body
 	} else {
-		stats := FromScanStats(cur.Stats())
+		stats := cur.Stats()
 		final.Stats = &stats
 	}
 	_ = enc.encode(final)

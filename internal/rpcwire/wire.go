@@ -4,9 +4,26 @@
 // the canonical error envelope with its bidirectional mapping between
 // the tasmerr sentinel taxonomy and HTTP status + machine-readable code.
 //
-// Everything here is plain data with explicit JSON tags — the wire
-// contract — plus the conversions to and from the in-process types. The
-// format is versioned by URL prefix (/v1/); additive changes (new
+// A type is declared once: a wire struct exists here only where the
+// wire differs from the in-process type. Stats, reports, detections,
+// rectangles, retention policies and the autotile status travel as the
+// storage manager's own types, whose JSON tags are the wire contract
+// (durations are integer nanoseconds under *_ns keys) — so a new stats
+// counter is two edits, the tagged field and ScanStats.Add, and it
+// cannot read zero remotely. The mirrors that remain each differ from
+// their in-process twin:
+//
+//   - Layout: the manifest and the tiles.json sidecar spell
+//     layout.Layout RowHeights/ColWidths on disk; the wire spells it
+//     row_heights/col_widths. Tagging layout.Layout would change the
+//     on-disk format.
+//   - Frame: ToFrame validates plane sizes arriving from outside the
+//     program (Region and FrameLine carry a Frame).
+//   - Query: flattens Pred.Clauses and enforces Video == Videos[0].
+//   - the request/response envelopes, ErrorBody and the Shard* types,
+//     which have no in-process twin.
+//
+// The format is versioned by URL prefix (/v1/); additive changes (new
 // optional fields, new codes) do not bump the version.
 //
 // Error contract: a failed unary request carries `{"error": {"code",
@@ -25,7 +42,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tasm-repro/tasm/internal/adapt"
 	"github.com/tasm-repro/tasm/internal/core"
 	"github.com/tasm-repro/tasm/internal/frame"
 	"github.com/tasm-repro/tasm/internal/geom"
@@ -204,21 +220,7 @@ func NegotiateStreamEncoding(r *http.Request) string {
 	return ContentTypeNDJSON
 }
 
-// ---- geometry, layouts, frames ----
-
-// Rect is a half-open pixel rectangle on the wire.
-type Rect struct {
-	X0 int `json:"x0"`
-	Y0 int `json:"y0"`
-	X1 int `json:"x1"`
-	Y1 int `json:"y1"`
-}
-
-// FromRect converts an in-process rectangle.
-func FromRect(r geom.Rect) Rect { return Rect{X0: r.X0, Y0: r.Y0, X1: r.X1, Y1: r.Y1} }
-
-// ToRect converts back to the in-process type.
-func (r Rect) ToRect() geom.Rect { return geom.R(r.X0, r.Y0, r.X1, r.Y1) }
+// ---- layouts, frames ----
 
 // Layout is a tile layout on the wire: row heights and column widths
 // spanning the frame.
@@ -308,54 +310,15 @@ type IngestRequest struct {
 	Layouts []Layout `json:"layouts,omitempty"`
 }
 
-// IngestStats mirrors core.IngestStats with explicit-unit fields.
-type IngestStats struct {
-	EncodeWallNs int64 `json:"encode_wall_ns"`
-	Bytes        int64 `json:"bytes"`
-	SOTs         int   `json:"sots"`
-}
-
-// FromIngestStats converts an in-process stats record.
-func FromIngestStats(s core.IngestStats) IngestStats {
-	return IngestStats{EncodeWallNs: s.EncodeWall.Nanoseconds(), Bytes: s.Bytes, SOTs: s.SOTs}
-}
-
-// ToIngestStats converts back to the in-process type.
-func (s IngestStats) ToIngestStats() core.IngestStats {
-	return core.IngestStats{EncodeWall: nsDuration(s.EncodeWallNs), Bytes: s.Bytes, SOTs: s.SOTs}
-}
-
 // ---- live ingest ----
-
-// RetentionPolicy mirrors tilestore.RetentionPolicy on the wire.
-type RetentionPolicy struct {
-	MaxAgeFrames int   `json:"max_age_frames,omitempty"`
-	MaxBytes     int64 `json:"max_bytes,omitempty"`
-}
-
-// FromRetentionPolicy converts an in-process policy (nil stays nil).
-func FromRetentionPolicy(p *tilestore.RetentionPolicy) *RetentionPolicy {
-	if p == nil {
-		return nil
-	}
-	return &RetentionPolicy{MaxAgeFrames: p.MaxAgeFrames, MaxBytes: p.MaxBytes}
-}
-
-// ToRetentionPolicy converts back to the in-process type (nil stays nil).
-func (p *RetentionPolicy) ToRetentionPolicy() *tilestore.RetentionPolicy {
-	if p == nil {
-		return nil
-	}
-	return &tilestore.RetentionPolicy{MaxAgeFrames: p.MaxAgeFrames, MaxBytes: p.MaxBytes}
-}
 
 // CreateLiveRequest opens an append-mode video.
 type CreateLiveRequest struct {
-	Video     string           `json:"video"`
-	W         int              `json:"w"`
-	H         int              `json:"h"`
-	FPS       int              `json:"fps"`
-	Retention *RetentionPolicy `json:"retention,omitempty"`
+	Video     string                     `json:"video"`
+	W         int                        `json:"w"`
+	H         int                        `json:"h"`
+	FPS       int                        `json:"fps"`
+	Retention *tilestore.RetentionPolicy `json:"retention,omitempty"`
 }
 
 // AppendRequest appends frames to a live video — the v1 JSON body of
@@ -368,27 +331,6 @@ type AppendRequest struct {
 	Frames []Frame `json:"frames"`
 }
 
-// AppendStats mirrors core.AppendStats with explicit-unit fields.
-type AppendStats struct {
-	EncodeWallNs int64 `json:"encode_wall_ns"`
-	Bytes        int64 `json:"bytes"`
-	SOTs         int   `json:"sots"`
-	Frames       int   `json:"frames"`
-	FrameCount   int   `json:"frame_count"`
-}
-
-// FromAppendStats converts an in-process stats record.
-func FromAppendStats(s core.AppendStats) AppendStats {
-	return AppendStats{EncodeWallNs: s.EncodeWall.Nanoseconds(), Bytes: s.Bytes,
-		SOTs: s.SOTs, Frames: s.Frames, FrameCount: s.FrameCount}
-}
-
-// ToAppendStats converts back to the in-process type.
-func (s AppendStats) ToAppendStats() core.AppendStats {
-	return core.AppendStats{EncodeWall: nsDuration(s.EncodeWallNs), Bytes: s.Bytes,
-		SOTs: s.SOTs, Frames: s.Frames, FrameCount: s.FrameCount}
-}
-
 // SealRequest converts a live video into a normal batch one.
 type SealRequest struct {
 	Video string `json:"video"`
@@ -398,25 +340,8 @@ type SealRequest struct {
 // video's retention policy; the response is the TrimReport of the
 // immediate application.
 type RetentionRequest struct {
-	Video     string           `json:"video"`
-	Retention *RetentionPolicy `json:"retention"`
-}
-
-// TrimReport mirrors tilestore.TrimReport.
-type TrimReport struct {
-	Removed    []int `json:"removed,omitempty"`
-	TrimmedTo  int   `json:"trimmed_to"`
-	FreedBytes int64 `json:"freed_bytes"`
-}
-
-// FromTrimReport converts an in-process report.
-func FromTrimReport(r tilestore.TrimReport) TrimReport {
-	return TrimReport{Removed: r.Removed, TrimmedTo: r.TrimmedTo, FreedBytes: r.FreedBytes}
-}
-
-// ToTrimReport converts back to the in-process type.
-func (r TrimReport) ToTrimReport() tilestore.TrimReport {
-	return tilestore.TrimReport{Removed: r.Removed, TrimmedTo: r.TrimmedTo, FreedBytes: r.FreedBytes}
+	Video     string                     `json:"video"`
+	Retention *tilestore.RetentionPolicy `json:"retention"`
 }
 
 // RetileRequest re-encodes one SOT under a new layout.
@@ -424,23 +349,6 @@ type RetileRequest struct {
 	Video  string `json:"video"`
 	SOT    int    `json:"sot"`
 	Layout Layout `json:"layout"`
-}
-
-// RetileStats mirrors core.RetileStats.
-type RetileStats struct {
-	DecodeWallNs int64 `json:"decode_wall_ns"`
-	EncodeWallNs int64 `json:"encode_wall_ns"`
-	Bytes        int64 `json:"bytes"`
-}
-
-// FromRetileStats converts an in-process stats record.
-func FromRetileStats(s core.RetileStats) RetileStats {
-	return RetileStats{DecodeWallNs: s.DecodeWall.Nanoseconds(), EncodeWallNs: s.EncodeWall.Nanoseconds(), Bytes: s.Bytes}
-}
-
-// ToRetileStats converts back to the in-process type.
-func (s RetileStats) ToRetileStats() core.RetileStats {
-	return core.RetileStats{DecodeWall: nsDuration(s.DecodeWallNs), EncodeWall: nsDuration(s.EncodeWallNs), Bytes: s.Bytes}
 }
 
 // DesignLayoutRequest asks the server to partition a SOT around the
@@ -457,27 +365,10 @@ type DesignLayoutResponse struct {
 	Layout Layout `json:"layout"`
 }
 
-// Detection is one labeled bounding box on the wire.
-type Detection struct {
-	Frame int    `json:"frame"`
-	Label string `json:"label"`
-	Box   Rect   `json:"box"`
-}
-
-// FromDetection converts an in-process detection.
-func FromDetection(d semindex.Detection) Detection {
-	return Detection{Frame: d.Frame, Label: d.Label, Box: FromRect(d.Box)}
-}
-
-// ToDetection converts back to the in-process type.
-func (d Detection) ToDetection() semindex.Detection {
-	return semindex.Detection{Frame: d.Frame, Label: d.Label, Box: d.Box.ToRect()}
-}
-
 // MetadataRequest records a batch of detections (AddMetadata sends one).
 type MetadataRequest struct {
-	Video      string      `json:"video"`
-	Detections []Detection `json:"detections"`
+	Video      string               `json:"video"`
+	Detections []semindex.Detection `json:"detections"`
 }
 
 // MarkDetectedRequest records that frames [From, To) were fully
@@ -491,7 +382,7 @@ type MarkDetectedRequest struct {
 
 // DetectionsResponse carries indexed detections for a lookup.
 type DetectionsResponse struct {
-	Detections []Detection `json:"detections"`
+	Detections []semindex.Detection `json:"detections"`
 }
 
 // VideosResponse lists stored video names.
@@ -507,122 +398,6 @@ type VideoInfo struct {
 	Labels []string            `json:"labels"`
 }
 
-// GCReport mirrors tilestore.GCReport.
-type GCReport struct {
-	Removed  []string `json:"removed"`
-	Deferred []string `json:"deferred"`
-}
-
-// FromGCReport converts an in-process report.
-func FromGCReport(r tilestore.GCReport) GCReport {
-	return GCReport{Removed: r.Removed, Deferred: r.Deferred}
-}
-
-// ToGCReport converts back to the in-process type.
-func (r GCReport) ToGCReport() tilestore.GCReport {
-	return tilestore.GCReport{Removed: r.Removed, Deferred: r.Deferred}
-}
-
-// FsckReport mirrors tilestore.FsckReport.
-type FsckReport struct {
-	Videos   int      `json:"videos"`
-	SOTs     int      `json:"sots"`
-	Tiles    int      `json:"tiles"`
-	Leases   int      `json:"leases"`
-	Problems []string `json:"problems"`
-	Orphans  []string `json:"orphans"`
-}
-
-// FromFsckReport converts an in-process report.
-func FromFsckReport(r tilestore.FsckReport) FsckReport {
-	return FsckReport{Videos: r.Videos, SOTs: r.SOTs, Tiles: r.Tiles, Leases: r.Leases, Problems: r.Problems, Orphans: r.Orphans}
-}
-
-// ToFsckReport converts back to the in-process type.
-func (r FsckReport) ToFsckReport() tilestore.FsckReport {
-	return tilestore.FsckReport{Videos: r.Videos, SOTs: r.SOTs, Tiles: r.Tiles, Leases: r.Leases, Problems: r.Problems, Orphans: r.Orphans}
-}
-
-// CacheStats mirrors tilecache.Stats.
-type CacheStats struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-	BytesCached   int64 `json:"bytes_cached"`
-	Entries       int   `json:"entries"`
-	Budget        int64 `json:"budget"`
-}
-
-// FromCacheStats converts an in-process stats snapshot.
-func FromCacheStats(s tilecache.Stats) CacheStats {
-	return CacheStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
-		Invalidations: s.Invalidations, BytesCached: s.BytesCached, Entries: s.Entries, Budget: s.Budget}
-}
-
-// ToCacheStats converts back to the in-process type.
-func (s CacheStats) ToCacheStats() tilecache.Stats {
-	return tilecache.Stats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
-		Invalidations: s.Invalidations, BytesCached: s.BytesCached, Entries: s.Entries, Budget: s.Budget}
-}
-
-// AutotileStatus is the background adaptive-tiling subsystem's snapshot
-// on the wire, mirroring adapt.Status field for field. Enabled false
-// means the daemon runs without -autotile (every other field is zero).
-type AutotileStatus struct {
-	Enabled         bool    `json:"enabled"`
-	Paused          bool    `json:"paused"`
-	PauseReason     string  `json:"pause_reason,omitempty"`
-	QueriesObserved int64   `json:"queries_observed"`
-	QueriesPending  int     `json:"queries_pending"`
-	QueriesDropped  int64   `json:"queries_dropped"`
-	ActionsApplied  int64   `json:"actions_applied"`
-	ActionsFailed   int64   `json:"actions_failed"`
-	BytesSpent      int64   `json:"bytes_spent"`
-	IOBudget        int64   `json:"io_budget"`
-	Regret          float64 `json:"regret"`
-	LastAction      string  `json:"last_action,omitempty"`
-	LastError       string  `json:"last_error,omitempty"`
-}
-
-// FromAutotileStatus converts an in-process snapshot.
-func FromAutotileStatus(s adapt.Status) AutotileStatus {
-	return AutotileStatus{
-		Enabled:         s.Enabled,
-		Paused:          s.Paused,
-		PauseReason:     s.PauseReason,
-		QueriesObserved: s.QueriesObserved,
-		QueriesPending:  s.QueriesPending,
-		QueriesDropped:  s.QueriesDropped,
-		ActionsApplied:  s.ActionsApplied,
-		ActionsFailed:   s.ActionsFailed,
-		BytesSpent:      s.BytesSpent,
-		IOBudget:        s.IOBudget,
-		Regret:          s.Regret,
-		LastAction:      s.LastAction,
-		LastError:       s.LastError,
-	}
-}
-
-// ToAutotileStatus converts back to the in-process type.
-func (s AutotileStatus) ToAutotileStatus() adapt.Status {
-	return adapt.Status{
-		Enabled:         s.Enabled,
-		Paused:          s.Paused,
-		PauseReason:     s.PauseReason,
-		QueriesObserved: s.QueriesObserved,
-		QueriesPending:  s.QueriesPending,
-		QueriesDropped:  s.QueriesDropped,
-		ActionsApplied:  s.ActionsApplied,
-		ActionsFailed:   s.ActionsFailed,
-		BytesSpent:      s.BytesSpent,
-		IOBudget:        s.IOBudget,
-		Regret:          s.Regret,
-		LastAction:      s.LastAction,
-		LastError:       s.LastError,
-	}
-}
-
 // AutotilePauseRequest suspends background re-tiling; Reason (optional)
 // is surfaced in the status for the operator who finds it paused later.
 type AutotilePauseRequest struct {
@@ -632,23 +407,6 @@ type AutotilePauseRequest struct {
 // RepairRequest re-materializes one video's box→tile pointers.
 type RepairRequest struct {
 	Video string `json:"video"`
-}
-
-// StoreRepairReport mirrors tilestore.RepairReport.
-type StoreRepairReport struct {
-	Quarantined []string `json:"quarantined"`
-	Reverted    []string `json:"reverted"`
-	Videos      []string `json:"videos"`
-}
-
-// FromStoreRepairReport converts an in-process report.
-func FromStoreRepairReport(r tilestore.RepairReport) StoreRepairReport {
-	return StoreRepairReport{Quarantined: r.Quarantined, Reverted: r.Reverted, Videos: r.Videos}
-}
-
-// ToStoreRepairReport converts back to the in-process type.
-func (r StoreRepairReport) ToStoreRepairReport() tilestore.RepairReport {
-	return tilestore.RepairReport{Quarantined: r.Quarantined, Reverted: r.Reverted, Videos: r.Videos}
 }
 
 // ---- scale-out (tasm-router) ----
@@ -677,24 +435,21 @@ type ShardsResponse struct {
 // aggregation. Error is set (and Stats zero) when the shard could not
 // be reached for the snapshot.
 type ShardCacheStats struct {
-	Shard   string     `json:"shard"`
-	Addr    string     `json:"addr"`
-	Healthy bool       `json:"healthy"`
-	Error   string     `json:"error,omitempty"`
-	Stats   CacheStats `json:"stats"`
+	Shard   string          `json:"shard"`
+	Addr    string          `json:"addr"`
+	Healthy bool            `json:"healthy"`
+	Error   string          `json:"error,omitempty"`
+	Stats   tilecache.Stats `json:"stats"`
 }
 
 // ShardedCacheStats is a router's GET /v1/stats body: the merged totals
-// inline — so a plain client decodes it as an ordinary CacheStats
+// inline — so a plain client decodes it as an ordinary tilecache.Stats
 // unchanged — plus the per-shard breakdown. A single tasmd never sets
 // Shards, which is how callers tell the two apart.
 type ShardedCacheStats struct {
-	CacheStats
+	tilecache.Stats
 	Shards []ShardCacheStats `json:"shards,omitempty"`
 }
-
-// nsDuration converts a wire nanosecond count to a time.Duration.
-func nsDuration(ns int64) time.Duration { return time.Duration(ns) * time.Nanosecond }
 
 // ---- streaming requests and the NDJSON line envelope ----
 
@@ -714,65 +469,16 @@ type DecodeFramesRequest struct {
 	To    int    `json:"to"`
 }
 
-// ScanStats mirrors core.ScanStats with explicit-unit duration fields.
-type ScanStats struct {
-	IndexWallNs     int64 `json:"index_wall_ns"`
-	DecodeWallNs    int64 `json:"decode_wall_ns"`
-	AssembleWallNs  int64 `json:"assemble_wall_ns"`
-	PixelsDecoded   int64 `json:"pixels_decoded"`
-	TilesDecoded    int   `json:"tiles_decoded"`
-	FramesDecoded   int64 `json:"frames_decoded"`
-	RegionsReturned int   `json:"regions_returned"`
-	SOTsTouched     int   `json:"sots_touched"`
-	CacheHits       int   `json:"cache_hits"`
-	CacheMisses     int   `json:"cache_misses"`
-	CacheEvictions  int   `json:"cache_evictions"`
-}
-
-// FromScanStats converts an in-process stats record.
-func FromScanStats(s core.ScanStats) ScanStats {
-	return ScanStats{
-		IndexWallNs:     s.IndexWall.Nanoseconds(),
-		DecodeWallNs:    s.DecodeWall.Nanoseconds(),
-		AssembleWallNs:  s.AssembleWall.Nanoseconds(),
-		PixelsDecoded:   s.PixelsDecoded,
-		TilesDecoded:    s.TilesDecoded,
-		FramesDecoded:   s.FramesDecoded,
-		RegionsReturned: s.RegionsReturned,
-		SOTsTouched:     s.SOTsTouched,
-		CacheHits:       s.CacheHits,
-		CacheMisses:     s.CacheMisses,
-		CacheEvictions:  s.CacheEvictions,
-	}
-}
-
-// ToScanStats converts back to the in-process type.
-func (s ScanStats) ToScanStats() core.ScanStats {
-	return core.ScanStats{
-		IndexWall:       nsDuration(s.IndexWallNs),
-		DecodeWall:      nsDuration(s.DecodeWallNs),
-		AssembleWall:    nsDuration(s.AssembleWallNs),
-		PixelsDecoded:   s.PixelsDecoded,
-		TilesDecoded:    s.TilesDecoded,
-		FramesDecoded:   s.FramesDecoded,
-		RegionsReturned: s.RegionsReturned,
-		SOTsTouched:     s.SOTsTouched,
-		CacheHits:       s.CacheHits,
-		CacheMisses:     s.CacheMisses,
-		CacheEvictions:  s.CacheEvictions,
-	}
-}
-
 // Region is one streamed Scan result: a pixel region on one frame.
 type Region struct {
-	Frame  int   `json:"frame"`
-	Region Rect  `json:"region"`
-	Pixels Frame `json:"pixels"`
+	Frame  int       `json:"frame"`
+	Region geom.Rect `json:"region"`
+	Pixels Frame     `json:"pixels"`
 }
 
 // FromRegion converts an in-process scan result.
 func FromRegion(r core.RegionResult) Region {
-	return Region{Frame: r.Frame, Region: FromRect(r.Region), Pixels: FromFrame(r.Pixels)}
+	return Region{Frame: r.Frame, Region: r.Region, Pixels: FromFrame(r.Pixels)}
 }
 
 // ToRegion converts back to the in-process type.
@@ -781,7 +487,7 @@ func (r Region) ToRegion() (core.RegionResult, error) {
 	if err != nil {
 		return core.RegionResult{}, err
 	}
-	return core.RegionResult{Frame: r.Frame, Region: r.Region.ToRect(), Pixels: f}, nil
+	return core.RegionResult{Frame: r.Frame, Region: r.Region, Pixels: f}, nil
 }
 
 // FrameLine is one streamed whole-frame result.
@@ -811,8 +517,8 @@ func (l FrameLine) ToFrameResult() (core.FrameResult, error) {
 // end-of-stream marker, so a torn TCP stream is never mistaken for
 // clean exhaustion), or Error (the final line of a failed stream).
 type StreamLine struct {
-	Region *Region    `json:"region,omitempty"`
-	Frame  *FrameLine `json:"frame,omitempty"`
-	Stats  *ScanStats `json:"stats,omitempty"`
-	Error  *ErrorBody `json:"error,omitempty"`
+	Region *Region         `json:"region,omitempty"`
+	Frame  *FrameLine      `json:"frame,omitempty"`
+	Stats  *core.ScanStats `json:"stats,omitempty"`
+	Error  *ErrorBody      `json:"error,omitempty"`
 }

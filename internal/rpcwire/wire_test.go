@@ -202,25 +202,6 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestScanStatsRoundTrip(t *testing.T) {
-	st := core.ScanStats{
-		IndexWall: 1234, DecodeWall: 5678, AssembleWall: 91011,
-		PixelsDecoded: 1 << 30, TilesDecoded: 7, FramesDecoded: 99,
-		RegionsReturned: 12, SOTsTouched: 3, CacheHits: 1, CacheMisses: 2, CacheEvictions: 3,
-	}
-	data, err := json.Marshal(FromScanStats(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w ScanStats
-	if err := json.Unmarshal(data, &w); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.ToScanStats(); got != st {
-		t.Fatalf("got %+v, want %+v", got, st)
-	}
-}
-
 func TestRegionRoundTrip(t *testing.T) {
 	px := frame.New(8, 8)
 	px.Y[0] = 42

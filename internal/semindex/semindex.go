@@ -17,13 +17,14 @@ import (
 
 	"github.com/tasm-repro/tasm/internal/btree"
 	"github.com/tasm-repro/tasm/internal/geom"
+	"github.com/tasm-repro/tasm/internal/tasmerr"
 )
 
 // Detection is one labeled object instance on one frame.
 type Detection struct {
-	Frame int
-	Label string
-	Box   geom.Rect
+	Frame int       `json:"frame"`
+	Label string    `json:"label"`
+	Box   geom.Rect `json:"box"`
 }
 
 // TilePointer locates the tiles containing a box: the SOT the frame belongs
@@ -81,10 +82,10 @@ const (
 
 func validName(s string) error {
 	if s == "" {
-		return fmt.Errorf("semindex: empty name")
+		return fmt.Errorf("semindex: empty name: %w", tasmerr.ErrInvalidName)
 	}
 	if strings.ContainsRune(s, 0) {
-		return fmt.Errorf("semindex: name %q contains NUL", s)
+		return fmt.Errorf("semindex: name %q contains NUL: %w", s, tasmerr.ErrInvalidName)
 	}
 	return nil
 }
@@ -164,28 +165,40 @@ func decodePointer(v []byte) *TilePointer {
 	return p
 }
 
-// Add records a detection (the paper's AddMetadata). Duplicate detections
-// (same video, label, frame, box) coalesce into one entry.
-func (ix *Index) Add(video string, d Detection) error {
-	if err := validName(video); err != nil {
-		return err
-	}
+// validate rejects a detection the index cannot key: the caller's
+// mistake, classified with the 400-class sentinels.
+func (d Detection) validate() error {
 	if err := validName(d.Label); err != nil {
 		return err
 	}
 	if d.Frame < 0 {
-		return fmt.Errorf("semindex: negative frame %d", d.Frame)
+		return fmt.Errorf("semindex: negative frame %d: %w", d.Frame, tasmerr.ErrInvalidRange)
 	}
 	if d.Box.Empty() {
-		return fmt.Errorf("semindex: empty box for %s@%d", d.Label, d.Frame)
+		return fmt.Errorf("semindex: empty box for %s@%d: %w", d.Label, d.Frame, tasmerr.ErrInvalidRange)
 	}
-	return ix.tree.Put(detKey(video, d.Label, d.Frame, d.Box), encodePointer(nil))
+	return nil
 }
 
-// AddBatch records multiple detections.
+// Add records a detection (the paper's AddMetadata). Duplicate detections
+// (same video, label, frame, box) coalesce into one entry.
+func (ix *Index) Add(video string, d Detection) error {
+	return ix.AddBatch(video, []Detection{d})
+}
+
+// AddBatch records multiple detections. The whole batch is validated
+// first, so a malformed detection rejects it with nothing written.
 func (ix *Index) AddBatch(video string, ds []Detection) error {
+	if err := validName(video); err != nil {
+		return err
+	}
 	for _, d := range ds {
-		if err := ix.Add(video, d); err != nil {
+		if err := d.validate(); err != nil {
+			return err
+		}
+	}
+	for _, d := range ds {
+		if err := ix.tree.Put(detKey(video, d.Label, d.Frame, d.Box), encodePointer(nil)); err != nil {
 			return err
 		}
 	}

@@ -158,7 +158,7 @@ func (l Local) StatsContext(ctx context.Context) (rpcwire.ShardedCacheStats, err
 	if err := alive(ctx); err != nil {
 		return rpcwire.ShardedCacheStats{}, err
 	}
-	return rpcwire.ShardedCacheStats{CacheStats: rpcwire.FromCacheStats(l.CacheStats())}, nil
+	return rpcwire.ShardedCacheStats{Stats: l.CacheStats()}, nil
 }
 
 func (l Local) AutotileStatusContext(ctx context.Context) (tasm.AutotileStatus, error) {

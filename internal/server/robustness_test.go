@@ -286,3 +286,63 @@ func TestMalformedWritesAre400(t *testing.T) {
 		t.Errorf("tasm_request_panics_total = %d (found %v), want 0", n, ok)
 	}
 }
+
+// TestBadIndexAndLiveWritesAre4xx: an index write naming a video the
+// catalog does not hold is 404 video_not_found (accepted, the rows would
+// be unreachable and inherited by the next ingest of the name); a
+// malformed detection and a negative live retention are the caller's
+// 400, classified with the sentinel the client maps to its exit code.
+// Nothing is written and nothing panicked.
+func TestBadIndexAndLiveWritesAre4xx(t *testing.T) {
+	h := newHarness(t, server.Config{})
+	ctx := context.Background()
+	rec := &statusRecorder{}
+	c, err := client.New(h.ts.URL, client.WithHTTPClient(&http.Client{Transport: rec}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before, err := c.LookupDetectionsContext(ctx, "traffic", "car", 0, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := tasm.Rect{X0: 10, Y0: 10, X1: 40, Y1: 40}
+	add := func(video string, ds ...tasm.Detection) func() error {
+		return func() error { return c.AddDetectionsContext(ctx, video, ds) }
+	}
+	for _, tc := range []struct {
+		name   string
+		call   func() error
+		status int
+		want   error
+	}{
+		{"detections for an unknown video", add("nope", tasm.Detection{Frame: 1, Label: "car", Box: box}),
+			http.StatusNotFound, tasm.ErrVideoNotFound},
+		{"markdetected for an unknown video", func() error { return c.MarkDetectedContext(ctx, "nope", "car", 0, 5) },
+			http.StatusNotFound, tasm.ErrVideoNotFound},
+		{"negative frame", add("traffic", tasm.Detection{Frame: -1, Label: "car", Box: box}),
+			http.StatusBadRequest, tasm.ErrInvalidRange},
+		{"inverted box, after a well-formed detection in the same batch", add("traffic",
+			tasm.Detection{Frame: 1, Label: "car", Box: box},
+			tasm.Detection{Frame: 1, Label: "car", Box: tasm.Rect{X0: 40, Y0: 40, X1: 10, Y1: 10}}),
+			http.StatusBadRequest, tasm.ErrInvalidRange},
+		{"empty label", add("traffic", tasm.Detection{Frame: 1, Box: box}),
+			http.StatusBadRequest, tasm.ErrInvalidName},
+		{"live create with a negative retention bound", func() error {
+			return c.CreateLiveContext(ctx, "cam", 64, 32, 10, &tasm.RetentionPolicy{MaxAgeFrames: -3})
+		}, http.StatusBadRequest, tasm.ErrInvalidRange},
+	} {
+		if err := tc.call(); !errors.Is(err, tc.want) || rec.last != tc.status {
+			t.Errorf("%s: status %d, err %v; want %d classified %v", tc.name, rec.last, err, tc.status, tc.want)
+		}
+	}
+	if after, err := c.LookupDetectionsContext(ctx, "traffic", "car", 0, 40); err != nil || len(after) != len(before) {
+		t.Errorf("car detections after the rejected writes = %d (err %v), want the %d from before", len(after), err, len(before))
+	}
+	if vids, err := c.VideosContext(ctx); err != nil || len(vids) != 1 || vids[0] != "traffic" {
+		t.Errorf("videos after the rejected writes = %v (err %v), want only traffic", vids, err)
+	}
+	if n, ok := metricValue(t, h.ts.URL, "", "tasm_request_panics_total"); !ok || n != 0 {
+		t.Errorf("tasm_request_panics_total = %d (found %v), want 0", n, ok)
+	}
+}

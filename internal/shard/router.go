@@ -508,7 +508,7 @@ func (rt *Router) StatsContext(ctx context.Context) (rpcwire.ShardedCacheStats, 
 		if res.err != nil {
 			sc.Error = res.err.Error()
 		} else {
-			sc.Stats = rpcwire.FromCacheStats(res.val)
+			sc.Stats = res.val
 			resp.Hits += sc.Stats.Hits
 			resp.Misses += sc.Stats.Misses
 			resp.Evictions += sc.Stats.Evictions
@@ -516,6 +516,7 @@ func (rt *Router) StatsContext(ctx context.Context) (rpcwire.ShardedCacheStats, 
 			resp.BytesCached += sc.Stats.BytesCached
 			resp.Entries += sc.Stats.Entries
 			resp.Budget += sc.Stats.Budget
+			resp.Pinned += sc.Stats.Pinned
 		}
 		resp.Shards = append(resp.Shards, sc)
 	}

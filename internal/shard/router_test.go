@@ -442,18 +442,18 @@ func TestBreakerFailsFastAndFleetKeepsServing(t *testing.T) {
 
 	// Stats still answer, carrying the per-shard breakdown with the
 	// dead shard annotated rather than failing the whole aggregation.
-	totals, shards, err := f.c.ShardCacheStats(context.Background())
+	stats, err := f.c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shards) != 3 {
-		t.Fatalf("stats breakdown has %d shards", len(shards))
+	if len(stats.Shards) != 3 {
+		t.Fatalf("stats breakdown has %d shards", len(stats.Shards))
 	}
 	deadSeen := false
-	for _, s := range shards {
+	for _, s := range stats.Shards {
 		if s.Shard == fmt.Sprintf("s%d", victim) {
 			deadSeen = true
-			if s.Healthy || s.Err == "" {
+			if s.Healthy || s.Error == "" {
 				t.Fatalf("dead shard reported healthy: %+v", s)
 			}
 		}
@@ -461,7 +461,6 @@ func TestBreakerFailsFastAndFleetKeepsServing(t *testing.T) {
 	if !deadSeen {
 		t.Fatal("dead shard missing from breakdown")
 	}
-	_ = totals
 }
 
 // TestRouterUnaryAndFanout sweeps the rest of the surface through the
@@ -644,5 +643,46 @@ func TestMalformedWritesAre400ThroughRouter(t *testing.T) {
 	}
 	if vids, err := f.c.VideosContext(ctx); err != nil || strings.Join(vids, ",") != "cam0" {
 		t.Errorf("videos after the rejected writes = %v (err %v), want only cam0", vids, err)
+	}
+}
+
+// TestBadIndexAndLiveWritesAre4xxThroughRouter: the owning shard's 404
+// for an index write on an unknown video, and its 400 for a malformed
+// detection or a negative live retention, keep their classification
+// across the routed hop (the tasmd-side table is internal/server's
+// TestBadIndexAndLiveWritesAre4xx).
+func TestBadIndexAndLiveWritesAre4xxThroughRouter(t *testing.T) {
+	f := newFleet(t, "cam0")
+	ctx := context.Background()
+	box := tasm.Rect{X0: 10, Y0: 10, X1: 40, Y1: 40}
+	for name, tc := range map[string]struct{ got, want error }{
+		"detections for an unknown video": {
+			f.c.AddDetectionsContext(ctx, "nope", []tasm.Detection{{Frame: 1, Label: "car", Box: box}}), tasm.ErrVideoNotFound},
+		"markdetected for an unknown video": {
+			f.c.MarkDetectedContext(ctx, "nope", "car", 0, 5), tasm.ErrVideoNotFound},
+		"negative frame": {
+			f.c.AddDetectionsContext(ctx, "cam0", []tasm.Detection{{Frame: -1, Label: "car", Box: box}}), tasm.ErrInvalidRange},
+		"empty box": {
+			f.c.AddDetectionsContext(ctx, "cam0", []tasm.Detection{{Frame: 1, Label: "car"}}), tasm.ErrInvalidRange},
+		"empty label": {
+			f.c.AddDetectionsContext(ctx, "cam0", []tasm.Detection{{Frame: 1, Box: box}}), tasm.ErrInvalidName},
+		"live create with a negative retention bound": {
+			f.c.CreateLiveContext(ctx, "live0", 64, 32, 10, &tasm.RetentionPolicy{MaxBytes: -1}), tasm.ErrInvalidRange},
+	} {
+		if !errors.Is(tc.got, tc.want) {
+			t.Errorf("%s through the router: %v, want %v", name, tc.got, tc.want)
+		}
+	}
+	if vids, err := f.c.VideosContext(ctx); err != nil || strings.Join(vids, ",") != "cam0" {
+		t.Errorf("videos after the rejected writes = %v (err %v), want only cam0", vids, err)
+	}
+	res, err := http.Get(f.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if !strings.Contains(string(body), "tasm_router_request_panics_total 0\n") {
+		t.Errorf("router recovered a panic:\n%s", body)
 	}
 }

@@ -50,15 +50,15 @@ type Key struct {
 
 // Stats is a snapshot of the cache's global counters.
 type Stats struct {
-	Hits          int64
-	Misses        int64
-	Evictions     int64
-	Invalidations int64
-	BytesCached   int64
-	Entries       int
-	Budget        int64
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
+	BytesCached   int64 `json:"bytes_cached"`
+	Entries       int   `json:"entries"`
+	Budget        int64 `json:"budget"`
 	// Pinned counts (video, SOT) pairs currently pinned against eviction.
-	Pinned int
+	Pinned int `json:"pinned,omitempty"`
 }
 
 type entry struct {

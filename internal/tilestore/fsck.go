@@ -16,10 +16,10 @@ type GCReport struct {
 	// Removed lists the paths deleted: dead version directories, staging
 	// debris, stray manifest temp files, and orphan video directories left
 	// by a crashed ingest.
-	Removed []string
+	Removed []string `json:"removed"`
 	// Deferred lists dead version directories still pinned by read leases;
 	// they are reclaimed automatically when the last lease drops.
-	Deferred []string
+	Deferred []string `json:"deferred"`
 }
 
 // GC reclaims storage that no catalog record references: version
@@ -167,19 +167,19 @@ func (s *Store) gcTrashLocked(rep *GCReport) error {
 
 // FsckReport summarizes a store consistency check.
 type FsckReport struct {
-	Videos int
-	SOTs   int
-	Tiles  int
+	Videos int `json:"videos"`
+	SOTs   int `json:"sots"`
+	Tiles  int `json:"tiles"`
 	// Leases is the number of distinct SOT versions currently pinned by
 	// readers.
-	Leases int
+	Leases int `json:"leases"`
 	// Problems are integrity violations: unreadable manifests, missing
 	// version directories or tile files, and tiles whose frame count or
 	// dimensions contradict the manifest's layout.
-	Problems []string
+	Problems []string `json:"problems"`
 	// Orphans are paths GC would reclaim (dead versions, staging debris);
 	// they are not integrity violations.
-	Orphans []string
+	Orphans []string `json:"orphans"`
 }
 
 // OK reports whether the check found no integrity problems.

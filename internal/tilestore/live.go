@@ -35,6 +35,14 @@ type RetentionPolicy struct {
 	MaxBytes int64 `json:"max_bytes,omitempty"`
 }
 
+// validate rejects negative bounds (nil, no policy, is valid).
+func (p *RetentionPolicy) validate() error {
+	if p != nil && (p.MaxAgeFrames < 0 || p.MaxBytes < 0) {
+		return fmt.Errorf("tilestore: %w: negative retention bounds", tasmerr.ErrInvalidRange)
+	}
+	return nil
+}
+
 // CreateLiveVideo registers an empty append-mode video. The geometry
 // (even, positive dimensions; positive fps and GOP length) is fixed at
 // creation, since every appended frame must match it.
@@ -47,6 +55,9 @@ func (s *Store) CreateLiveVideo(meta VideoMeta) error {
 	}
 	if meta.FPS <= 0 || meta.GOPLength <= 0 {
 		return fmt.Errorf("tilestore: %w: live video needs positive fps and GOP length", tasmerr.ErrInvalidName)
+	}
+	if err := meta.Retention.validate(); err != nil {
+		return err
 	}
 	meta.Live = true
 	meta.Sealed = false
@@ -134,8 +145,8 @@ func (s *Store) SealVideo(video string) error {
 // policy. Only live videos carry retention; a sealed or batch video is
 // a finished artifact.
 func (s *Store) SetRetention(video string, pol *RetentionPolicy) error {
-	if pol != nil && (pol.MaxAgeFrames < 0 || pol.MaxBytes < 0) {
-		return fmt.Errorf("tilestore: %w: negative retention bounds", tasmerr.ErrInvalidRange)
+	if err := pol.validate(); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -12,13 +12,13 @@ type RepairReport struct {
 	// Quarantined lists version directories whose tiles failed
 	// integrity verification, moved into .trash (GC reclaims them once
 	// nothing pins them).
-	Quarantined []string
+	Quarantined []string `json:"quarantined"`
 	// Reverted lists SOTs whose catalog record was flipped back to an
 	// earlier intact version, as "video SOT <id> -> <dir>".
-	Reverted []string
+	Reverted []string `json:"reverted"`
 	// Videos lists the videos Repair modified; callers above this
 	// layer invalidate caches and refresh pointers for them.
-	Videos []string
+	Videos []string `json:"videos"`
 }
 
 // Repair validates the live version of every SOT against its sealed

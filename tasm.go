@@ -467,7 +467,9 @@ func (s *StorageManager) Subscribe(ctx context.Context, video string, from int) 
 }
 
 // AddMetadata records an object detection produced during query processing
-// (the paper's AddMetadata(video, frame, label, x1, y1, x2, y2)).
+// (the paper's AddMetadata(video, frame, label, x1, y1, x2, y2)). Like
+// AddDetections and MarkDetected it needs a stored video: a name the
+// catalog does not hold is ErrVideoNotFound.
 func (s *StorageManager) AddMetadata(video string, frameIdx int, label string, x1, y1, x2, y2 int) error {
 	return s.m.AddMetadata(video, frameIdx, label, x1, y1, x2, y2)
 }
@@ -481,7 +483,7 @@ func (s *StorageManager) AddDetections(video string, ds []Detection) error {
 // processed by an object detector for label, so absence of detections
 // there is definitive. The lazy tiling policy relies on this.
 func (s *StorageManager) MarkDetected(video, label string, from, to int) error {
-	return s.m.Index().MarkDetected(video, label, from, to)
+	return s.m.MarkDetected(video, label, from, to)
 }
 
 // ScanContext answers a query: it returns the pixel regions matching the
