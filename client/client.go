@@ -551,12 +551,6 @@ func (c *Client) RepairStoreContext(ctx context.Context) (tasm.RepairReport, err
 	return rep, err
 }
 
-// RepairPointersContext re-materializes one video's box→tile index pointers
-// server-side.
-func (c *Client) RepairPointersContext(ctx context.Context, video string) error {
-	return c.do(ctx, http.MethodPost, "/v1/repair", rpcwire.RepairRequest{Video: video}, nil)
-}
-
 // CacheStatsContext snapshots the daemon's decoded-tile cache counters.
 // Unlike the in-process form this can fail (the daemon may be down).
 func (c *Client) CacheStatsContext(ctx context.Context) (tasm.CacheStats, error) {

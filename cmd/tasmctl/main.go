@@ -827,7 +827,7 @@ func cmdFsck(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("fsck", flag.ContinueOnError)
 	dir := fs.String("dir", "tasmdb", "storage directory")
 	addr := addrFlag(fs)
-	repair := fs.Bool("repair", false, "quarantine corrupt tile versions (falling back to intact earlier ones) and re-materialize box→tile index pointers")
+	repair := fs.Bool("repair", false, "quarantine corrupt tile versions (falling back to intact earlier ones)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -837,9 +837,6 @@ func cmdFsck(ctx context.Context, args []string) error {
 	}
 	defer b.Close()
 	if *repair {
-		// Storage first: a corrupt version quarantined here may flip a
-		// video back to an earlier layout, and the pointer pass below
-		// must re-materialize against the layout that will be served.
 		srep, err := b.RepairStoreContext(ctx)
 		if err != nil {
 			return err
@@ -849,18 +846,6 @@ func cmdFsck(ctx context.Context, args []string) error {
 		}
 		for _, r := range srep.Reverted {
 			fmt.Printf("reverted    %s\n", r)
-		}
-		videos, err := b.VideosContext(ctx)
-		if err != nil {
-			return err
-		}
-		for _, v := range videos {
-			// Each repair is atomic per video; a signal stops between
-			// videos (the backend checks the ctx before each one).
-			if err := b.RepairPointersContext(ctx, v); err != nil {
-				return err
-			}
-			fmt.Printf("repaired pointers: %s\n", v)
 		}
 	}
 	rep, err := b.FSCKContext(ctx)

@@ -27,7 +27,7 @@
 // The daemon owns its storage directory exclusively, and that
 // ownership is enforced: opening the store takes an flock lease on it,
 // so a concurrent `tasmctl -dir` against a live daemon (whose caches —
-// parsed manifests, decoded tiles, the semantic index's B-tree — live
+// parsed manifests, decoded tiles, the resident semantic index — live
 // in this process) fails fast with a store-locked error instead of
 // reading stale state. Operate a served directory through the daemon
 // (`tasmctl -addr …`); `-force` bypasses the lease for recovery only.

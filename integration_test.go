@@ -113,6 +113,68 @@ func TestLifecycleAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestUncleanExitKeepsDetections: index writes acknowledged by a storage
+// manager that is never closed — a killed process — are all there when
+// the directory is opened again.
+func TestUncleanExitKeepsDetections(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	v, err := scene.Generate(scene.Spec{
+		Name: "cam", W: 96, H: 64, FPS: 10, DurationSec: 2,
+		Classes: []scene.ClassMix{{Class: scene.Car, Count: 2, SizeFrac: 0.2}},
+		Seed:    5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := v.Spec.NumFrames()
+	sm, err := Open(dir, WithGOPLength(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close() // only after the second open has checked everything
+	if _, err := sm.IngestContext(ctx, "cam", v.Frames(0, n), v.Spec.FPS); err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := detect.Run(&detect.Oracle{Lat: detect.DefaultLatencies()}, v, 0, n)
+	if err := sm.AddDetections("cam", ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.MarkDetected("cam", scene.Car, 0, n/2); err != nil {
+		t.Fatal(err)
+	}
+	acked, err := sm.LookupDetections("cam", scene.Car, 0, n)
+	if err != nil || len(acked) == 0 {
+		t.Fatalf("acknowledged detections: %d, %v", len(acked), err)
+	}
+
+	sm2, err := Open(dir, WithGOPLength(10), WithForceOpen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm2.Close()
+	got, err := sm2.LookupDetections("cam", scene.Car, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(acked) {
+		t.Fatalf("reopened without Close: %d detections, want the %d acknowledged", len(got), len(acked))
+	}
+	for i := range got {
+		if got[i] != acked[i] {
+			t.Fatalf("detection %d: %+v, want %+v", i, got[i], acked[i])
+		}
+	}
+	for _, r := range []struct {
+		from, to int
+		want     bool
+	}{{0, n / 2, true}, {0, n, false}} {
+		if ok, err := sm2.Detected("cam", scene.Car, r.from, r.to); err != nil || ok != r.want {
+			t.Errorf("Detected [%d, %d) = %v, %v; want %v", r.from, r.to, ok, err, r.want)
+		}
+	}
+}
+
 // TestTwoVideosIndependent verifies per-video isolation of layouts, index
 // entries, and storage.
 func TestTwoVideosIndependent(t *testing.T) {

@@ -60,7 +60,6 @@ type Backend interface {
 
 	GCContext(ctx context.Context) (tasm.GCReport, error)
 	FSCKContext(ctx context.Context) (tasm.FsckReport, error)
-	RepairPointersContext(ctx context.Context, video string) error
 	RepairStoreContext(ctx context.Context) (tasm.RepairReport, error)
 	// StatsContext is GET /v1/stats: totals inline, plus the per-shard
 	// breakdown when the backend is a fleet.

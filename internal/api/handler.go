@@ -99,7 +99,6 @@ var routes = []route{
 	{"POST /v1/designlayout", op((*Handler).designLayout)},
 	{"POST /v1/gc", op((*Handler).gc)},
 	{"POST /v1/fsck", op((*Handler).fsck)},
-	{"POST /v1/repair", op((*Handler).repair)},
 	{"POST /v1/repairstore", op((*Handler).repairStore)},
 	{"GET /v1/stats", op((*Handler).stats)},
 	{"GET /v1/autotile/status", op((*Handler).autotileStatus)},
@@ -670,27 +669,16 @@ func (h *Handler) gc(ctx context.Context, w http.ResponseWriter, r *http.Request
 	reply(w, rep, err)
 }
 
-// fsck verifies only; pointer repair is its own endpoint (/v1/repair,
-// per video), which keeps the expensive repair loop under the client's
-// control — it can stop between videos on cancellation and report
-// per-video progress, exactly like local tasmctl.
+// fsck verifies only; repair is its own endpoint (/v1/repairstore).
 func (h *Handler) fsck(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	rep, err := h.b.FSCKContext(ctx)
 	reply(w, rep, err)
 }
 
-func (h *Handler) repair(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	var req rpcwire.RepairRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	reply(w, struct{}{}, h.b.RepairPointersContext(ctx, req.Video))
-}
-
 // repairStore quarantines corrupt tile versions and falls back to
-// intact earlier ones — the network form of `tasmctl fsck -repair`'s
-// storage half. Unlike /v1/repair it is store-wide: the repair pass is
-// one critical section, so there is no per-video progress to stream.
+// intact earlier ones — the network form of `tasmctl fsck -repair`. It
+// is store-wide: the repair pass is one critical section, so there is
+// no per-video progress to stream.
 func (h *Handler) repairStore(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	rep, err := h.b.RepairStoreContext(ctx)
 	reply(w, rep, err)

@@ -56,7 +56,7 @@ func TestConcurrentScans(t *testing.T) {
 }
 
 // TestConcurrentMetadataAndScan runs index writes alongside scans: the
-// B-tree serializes access, so both must complete without error and the
+// index serializes writers, so both must complete without error and the
 // scan results must stay within the indexed universe.
 func TestConcurrentMetadataAndScan(t *testing.T) {
 	ctx := context.Background()

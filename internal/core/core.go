@@ -113,10 +113,6 @@ type Manager struct {
 	// disk decode.
 	flights flightGroup
 
-	// refreshHook, when set by tests, is consulted before each
-	// refreshPointers attempt to inject failures.
-	refreshHook func(video string) error
-
 	// observer, when installed via SetQueryObserver, receives every
 	// query-path request and informs cache admission (see observer.go).
 	observer QueryObserver
@@ -129,7 +125,7 @@ type Manager struct {
 }
 
 // Open creates or opens a storage manager rooted at dir (tiles under
-// dir/tiles, semantic index at dir/semindex.bt). It takes the store's
+// dir/tiles, semantic index log at dir/semindex.log). It takes the store's
 // cross-process ownership lease: a second Open of the same directory —
 // tasmctl -dir against a live tasmd, say — fails fast with
 // tasmerr.ErrStoreLocked instead of reading stale caches. Config.ForceOpen
@@ -143,7 +139,7 @@ func Open(dir string, cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := semindex.Open(filepath.Join(dir, "semindex.bt"))
+	ix, err := semindex.Open(filepath.Join(dir, "semindex.log"))
 	if err != nil {
 		st.Close()
 		return nil, err
@@ -154,8 +150,8 @@ func Open(dir string, cfg Config) (*Manager, error) {
 	}, nil
 }
 
-// Close flushes and closes the semantic index and releases the store's
-// ownership lease.
+// Close closes the semantic index and releases the store's ownership
+// lease.
 func (m *Manager) Close() error {
 	err := m.index.Close()
 	if serr := m.store.Close(); err == nil {
@@ -890,23 +886,6 @@ type RetileStats struct {
 	Bytes      int64         `json:"bytes"`
 }
 
-// PointerRefreshError reports that a re-tile committed its tile swap but
-// could not refresh the semantic index's box→tile pointers afterwards. The
-// store is consistent — the new layout is live and scans plan tiles from
-// the layout itself, not the pointers — but the denormalized pointers are
-// stale until RepairPointers succeeds.
-type PointerRefreshError struct {
-	Video string
-	SOT   int
-	Err   error
-}
-
-func (e *PointerRefreshError) Error() string {
-	return fmt.Sprintf("core: %s SOT %d: tile swap committed but box→tile pointer refresh failed (run RepairPointers): %v", e.Video, e.SOT, e.Err)
-}
-
-func (e *PointerRefreshError) Unwrap() error { return e.Err }
-
 // retileLock returns the mutex serializing re-tiles of one video.
 func (m *Manager) retileLock(video string) *sync.Mutex {
 	mu, _ := m.retileMu.LoadOrStore(video, &sync.Mutex{})
@@ -914,23 +893,19 @@ func (m *Manager) retileLock(video string) *sync.Mutex {
 }
 
 // RetileSOTContext re-encodes one SOT under a new layout: decode all
-// current tiles, reassemble frames, encode with the new layout, commit a
-// new version directory, and refresh the semantic index's tile pointers
-// for boxes in the range. Scans concurrent with the re-tile are unaffected:
-// they hold leases on the version their snapshot names, and the old
-// version's files survive until the last lease drops. Re-tiles of one
-// video are serialized against each other. A layout that does not fit the
-// video fails with tasmerr.ErrInvalidRange before any decode.
+// current tiles, reassemble frames, encode with the new layout, and
+// commit a new version directory. The semantic index is untouched: scans
+// derive a box's tiles from the live layout. Scans concurrent with the
+// re-tile are unaffected: they hold leases on the version their snapshot
+// names, and the old version's files survive until the last lease drops.
+// Re-tiles of one video are serialized against each other. A layout that
+// does not fit the video fails with tasmerr.ErrInvalidRange before any
+// decode.
 //
 // The decode and re-encode phases abort within one frame's work of a
 // cancellation and nothing is committed; once the tile swap starts
 // committing it is not interrupted (the commit itself is atomic under the
 // store's catalog lock).
-//
-// If the pointer refresh fails after the swap has committed, it is retried
-// once and then reported as a *PointerRefreshError — distinct from a failed
-// re-tile — so the caller knows the new layout is live and can run
-// RepairPointers.
 func (m *Manager) RetileSOTContext(ctx context.Context, video string, sotID int, l layout.Layout) (RetileStats, error) {
 	mu := m.retileLock(video)
 	mu.Lock()
@@ -981,31 +956,7 @@ func (m *Manager) RetileSOTContext(ctx context.Context, video string, sotID int,
 	for _, tv := range tiles {
 		rs.Bytes += tv.SizeBytes()
 	}
-	if err := m.refreshPointers(video, sot, l); err != nil {
-		// The swap is already live; retry once, then surface a distinct
-		// error so the caller can repair instead of assuming the re-tile
-		// itself failed.
-		if err = m.refreshPointers(video, sot, l); err != nil {
-			return rs, &PointerRefreshError{Video: video, SOT: sotID, Err: err}
-		}
-	}
 	return rs, nil
-}
-
-// RepairPointers re-materializes the box→tile pointers of every SOT of a
-// video from its live layout — the recovery path after a
-// *PointerRefreshError, and the repair half of fsck.
-func (m *Manager) RepairPointers(video string) error {
-	meta, err := m.store.Meta(video)
-	if err != nil {
-		return err
-	}
-	for _, sot := range meta.SOTs {
-		if err := m.refreshPointers(video, sot, sot.L); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RepairStore validates every SOT's live version against the checksums
@@ -1013,8 +964,8 @@ func (m *Manager) RepairPointers(video string) error {
 // .trash, and falls back to earlier intact versions where the store
 // still holds one (tilestore.Store.Repair). Because a fallback changes
 // a video's live layout, the repaired videos' cached decodes are
-// dropped and their box→tile pointers re-materialized, so scans after a
-// repair address the adopted layout, not the quarantined one.
+// dropped, so scans after a repair read the adopted layout, not the
+// quarantined one.
 func (m *Manager) RepairStore() (tilestore.RepairReport, error) {
 	rep, err := m.store.Repair()
 	if err != nil {
@@ -1022,42 +973,8 @@ func (m *Manager) RepairStore() (tilestore.RepairReport, error) {
 	}
 	for _, video := range rep.Videos {
 		m.cache.InvalidateVideo(video)
-		if perr := m.RepairPointers(video); perr != nil && err == nil {
-			err = fmt.Errorf("core: repair store: refresh pointers for %q: %w", video, perr)
-		}
 	}
-	return rep, err
-}
-
-// refreshPointers re-materializes box→tile pointers for all detections in
-// the SOT's frame range under the new layout.
-func (m *Manager) refreshPointers(video string, sot tilestore.SOTMeta, l layout.Layout) error {
-	if m.refreshHook != nil {
-		if err := m.refreshHook(video); err != nil {
-			return err
-		}
-	}
-	labels, err := m.index.Labels(video)
-	if err != nil {
-		return err
-	}
-	for _, label := range labels {
-		entries, err := m.index.Lookup(video, label, sot.From, sot.To)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			var tiles []uint16
-			for _, ti := range l.TilesIntersecting(e.Box) {
-				tiles = append(tiles, uint16(ti))
-			}
-			p := semindex.TilePointer{SOT: uint32(sot.ID), Tiles: tiles}
-			if err := m.index.SetPointer(video, e.Detection, p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return rep, nil
 }
 
 // StitchSOTContext performs homomorphic stitching of a SOT's tiles into a

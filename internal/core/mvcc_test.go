@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -373,136 +372,6 @@ func TestDecodeWallExcludesAssembly(t *testing.T) {
 	}
 	if dst.DecodeWall <= 0 || dst.AssembleWall <= 0 {
 		t.Fatalf("DecodeFrames DecodeWall = %v, AssembleWall = %v", dst.DecodeWall, dst.AssembleWall)
-	}
-}
-
-// TestRetilePointerRefreshFailure is the regression test for the
-// committed-swap/failed-refresh case: RetileSOT must retry the refresh,
-// surface a distinct *PointerRefreshError when it keeps failing (the tile
-// swap is already live), and RepairPointers must bring the box→tile
-// pointers back in line with the live layout.
-func TestRetilePointerRefreshFailure(t *testing.T) {
-	ctx := context.Background()
-	m, _ := newManager(t)
-	meta, err := m.Meta("traffic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := layout.Uniform(1, 2, m.cfg.Constraints(meta.W, meta.H))
-	if err != nil {
-		t.Fatal(err)
-	}
-	injected := errors.New("injected index failure")
-	calls := 0
-	m.refreshHook = func(string) error { calls++; return injected }
-
-	_, err = m.RetileSOTContext(ctx, "traffic", 0, l)
-	var pre *PointerRefreshError
-	if !errors.As(err, &pre) {
-		t.Fatalf("error is %T (%v), want *PointerRefreshError", err, err)
-	}
-	if pre.Video != "traffic" || pre.SOT != 0 || !errors.Is(err, injected) {
-		t.Fatalf("error fields: %+v", pre)
-	}
-	if calls != 2 {
-		t.Fatalf("refresh attempted %d times, want retry (2)", calls)
-	}
-
-	// The swap committed despite the failure: the live layout is the new
-	// one and scans over the SOT still work.
-	meta, err = m.Meta("traffic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !meta.SOTs[0].L.Equal(l) || meta.SOTs[0].Retiles != 1 {
-		t.Fatalf("swap not committed: %+v", meta.SOTs[0])
-	}
-	if _, _, err := m.ScanContext(ctx, mustQuery(t, "SELECT car FROM traffic WHERE 0 <= t < 10")); err != nil {
-		t.Fatalf("scan after failed refresh: %v", err)
-	}
-
-	// Repair and verify every pointer matches the live layout.
-	m.refreshHook = nil
-	if err := m.RepairPointers("traffic"); err != nil {
-		t.Fatal(err)
-	}
-	assertPointersMatchLayout(t, m, "traffic", 0, 1, 2)
-}
-
-// TestRetilePointerRefreshRetrySucceeds asserts a transient refresh
-// failure is absorbed by the retry: no error escapes and the pointers
-// match the live layout.
-func TestRetilePointerRefreshRetrySucceeds(t *testing.T) {
-	ctx := context.Background()
-	m, _ := newManager(t)
-	meta, _ := m.Meta("traffic")
-	l, err := layout.Uniform(1, 2, m.cfg.Constraints(meta.W, meta.H))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := true
-	m.refreshHook = func(string) error {
-		if first {
-			first = false
-			return errors.New("transient")
-		}
-		return nil
-	}
-	if _, err := m.RetileSOTContext(ctx, "traffic", 0, l); err != nil {
-		t.Fatalf("retry did not absorb transient failure: %v", err)
-	}
-	assertPointersMatchLayout(t, m, "traffic", 0)
-}
-
-// assertPointersMatchLayout checks that every indexed detection in the
-// given SOTs has a materialized tile pointer naming exactly the tiles its
-// box intersects in the SOT's live layout.
-func assertPointersMatchLayout(t *testing.T, m *Manager, video string, sotIDs ...int) {
-	t.Helper()
-	meta, err := m.Meta(video)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, err := m.index.Labels(video)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]bool{}
-	for _, id := range sotIDs {
-		want[id] = true
-	}
-	checked := 0
-	for _, sot := range meta.SOTs {
-		if !want[sot.ID] {
-			continue
-		}
-		for _, label := range labels {
-			entries, err := m.index.Lookup(video, label, sot.From, sot.To)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if e.Pointer == nil {
-					t.Fatalf("SOT %d %s frame %d: pointer not materialized", sot.ID, label, e.Frame)
-				}
-				if int(e.Pointer.SOT) != sot.ID {
-					t.Fatalf("SOT %d %s frame %d: pointer names SOT %d", sot.ID, label, e.Frame, e.Pointer.SOT)
-				}
-				want := sot.L.TilesIntersecting(e.Box)
-				if len(want) != len(e.Pointer.Tiles) {
-					t.Fatalf("SOT %d %s frame %d: pointer tiles %v, layout says %v", sot.ID, label, e.Frame, e.Pointer.Tiles, want)
-				}
-				for i, ti := range want {
-					if int(e.Pointer.Tiles[i]) != ti {
-						t.Fatalf("SOT %d %s frame %d: pointer tiles %v, layout says %v", sot.ID, label, e.Frame, e.Pointer.Tiles, want)
-					}
-				}
-				checked++
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no pointers checked")
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package fsio is the tilestore's filesystem seam. Every mutation the
-// store performs — writing tile and manifest files, committing version
-// directories by rename, syncing files and parent directories — goes
+// Package fsio is the filesystem seam of the tilestore and the semantic
+// index. Every mutation the two perform — writing tile and manifest
+// files, appending index log records, committing version directories
+// and checkpoints by rename, syncing files and parent directories — goes
 // through the FS interface, so one implementation (OS) provides real
 // durability via fsync discipline while another (MemFS) models a
 // power-cut at any operation index for deterministic crash testing.
@@ -16,7 +17,8 @@ import (
 	"os"
 )
 
-// FS is the set of filesystem operations the tilestore performs.
+// FS is the set of filesystem operations the tilestore and the semantic
+// index perform.
 // Implementations must return errors wrapping os.ErrNotExist for
 // missing paths, as os does, so errors.Is(err, os.ErrNotExist) works
 // identically against every implementation.
@@ -27,6 +29,10 @@ type FS interface {
 	// data is NOT durable until SyncFile returns; a crash may leave the
 	// file absent, empty, or holding its previous synced content.
 	WriteFile(path string, data []byte, perm os.FileMode) error
+	// AppendFile appends data to a file, creating it if absent. Like
+	// WriteFile, the data is NOT durable until SyncFile returns; a
+	// crash may leave any prefix of it behind.
+	AppendFile(path string, data []byte, perm os.FileMode) error
 	// SyncFile flushes a file's content to stable storage.
 	SyncFile(path string) error
 	// SyncDir flushes a directory's entries (creations, renames,
@@ -60,6 +66,18 @@ func (OS) WriteFile(path string, data []byte, perm os.FileMode) error {
 	return os.WriteFile(path, data, perm)
 }
 
+func (OS) AppendFile(path string, data []byte, perm os.FileMode) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, perm)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 func (OS) SyncFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -84,10 +102,10 @@ func (OS) SyncDir(path string) error {
 	return f.Close()
 }
 
-func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (OS) Remove(path string) error             { return os.Remove(path) }
-func (OS) RemoveAll(path string) error          { return os.RemoveAll(path) }
-func (OS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
+func (OS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (OS) Remove(path string) error                   { return os.Remove(path) }
+func (OS) RemoveAll(path string) error                { return os.RemoveAll(path) }
+func (OS) ReadFile(path string) ([]byte, error)       { return os.ReadFile(path) }
 func (OS) ReadDir(path string) ([]os.DirEntry, error) { return os.ReadDir(path) }
 func (OS) Stat(path string) (os.FileInfo, error)      { return os.Stat(path) }
 

@@ -22,17 +22,17 @@ var ErrCrashed = fmt.Errorf("fsio: simulated power cut")
 // with FailOp.
 var ErrInjected = fmt.Errorf("fsio: injected fault")
 
-// ErrTornWrite is returned by a WriteFile torn with TearWrite; the
-// file is left holding only the prefix of the data.
+// ErrTornWrite is returned by a WriteFile or AppendFile torn with
+// TearWrite; the file is left holding only the prefix of the data.
 var ErrTornWrite = fmt.Errorf("fsio: torn write")
 
 // MemFS is an in-memory FS that models power-cut durability
 // semantics for deterministic crash testing:
 //
-//   - File data written with WriteFile lives only in the "current"
-//     view until SyncFile copies it to the durable view. A crash
-//     reverts every file to its last synced content (empty if never
-//     synced).
+//   - File data written with WriteFile or AppendFile lives only in
+//     the "current" view until SyncFile copies it to the durable view.
+//     A crash reverts every file to its last synced content (empty if
+//     never synced).
 //   - Directory entries — creations, renames, removals — live in the
 //     current view until SyncDir snapshots the directory's entry
 //     table. A crash reverts each directory to its last synced entry
@@ -42,12 +42,12 @@ var ErrTornWrite = fmt.Errorf("fsio: torn write")
 //
 // Fault injection is keyed by a deterministic operation counter that
 // increments on every mutating operation (MkdirAll, WriteFile,
-// SyncFile, SyncDir, Rename, Remove, RemoveAll): CrashAt(n) power-cuts
-// the filesystem at the nth mutation (the operation fails without
-// taking effect, and everything after it fails with ErrCrashed until
-// Recover), FailOp(n, err) makes the nth mutation fail transiently,
-// and TearWrite(n, off) truncates the nth mutation — which must be a
-// WriteFile — to its first off bytes.
+// AppendFile, SyncFile, SyncDir, Rename, Remove, RemoveAll): CrashAt(n)
+// power-cuts the filesystem at the nth mutation (the operation fails
+// without taking effect, and everything after it fails with ErrCrashed
+// until Recover), FailOp(n, err) makes the nth mutation fail
+// transiently, and TearWrite(n, off) truncates the nth mutation — which
+// must be a WriteFile or AppendFile — to its first off bytes.
 //
 // MemFS is safe for concurrent use.
 type MemFS struct {
@@ -108,8 +108,8 @@ func (m *MemFS) FailOp(n int, err error) {
 }
 
 // TearWrite makes the nth mutating operation from now — which must be
-// a WriteFile — apply only the first off bytes of its data and return
-// ErrTornWrite, modeling a write interrupted mid-flight.
+// a WriteFile or AppendFile — apply only the first off bytes of its
+// data and return ErrTornWrite, modeling a write interrupted mid-flight.
 func (m *MemFS) TearWrite(n, off int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -240,6 +240,16 @@ func (m *MemFS) MkdirAll(p string, perm os.FileMode) error {
 }
 
 func (m *MemFS) WriteFile(p string, data []byte, perm os.FileMode) error {
+	return m.write(p, data, perm, false)
+}
+
+func (m *MemFS) AppendFile(p string, data []byte, perm os.FileMode) error {
+	return m.write(p, data, perm, true)
+}
+
+// write is WriteFile, or AppendFile when appending: either one counts
+// as one mutation and can be torn by TearWrite.
+func (m *MemFS) write(p string, data []byte, perm os.FileMode, appending bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.begin(); err != nil {
@@ -264,7 +274,11 @@ func (m *MemFS) WriteFile(p string, data []byte, perm os.FileMode) error {
 	} else if n.dir {
 		return &os.PathError{Op: "open", Path: p, Err: fmt.Errorf("is a directory")}
 	}
-	n.data = append([]byte(nil), data...)
+	if appending {
+		n.data = append(n.data, data...)
+	} else {
+		n.data = append([]byte(nil), data...)
+	}
 	if torn {
 		return &os.PathError{Op: "write", Path: p, Err: ErrTornWrite}
 	}

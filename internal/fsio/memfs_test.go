@@ -125,9 +125,9 @@ func TestMemFSCrashResurrectsUnsyncedRemoval(t *testing.T) {
 
 func TestMemFSCrashAt(t *testing.T) {
 	m := NewMemFS()
-	m.MkdirAll("/d", 0o755) // op 1
-	m.SyncDir("/")          // op 2
-	m.CrashAt(2)            // arm: second mutation from now
+	m.MkdirAll("/d", 0o755)  // op 1
+	m.SyncDir("/")           // op 2
+	m.CrashAt(2)             // arm: second mutation from now
 	write(t, m, "/d/a", "x") // op 3: ok
 	if err := m.WriteFile("/d/b", []byte("y"), 0o644); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("op at crashpoint = %v, want ErrCrashed", err)
@@ -146,6 +146,34 @@ func TestMemFSCrashAt(t *testing.T) {
 	}
 	if _, err := m.Stat("/d"); err != nil {
 		t.Errorf("synced dir lost: %v", err)
+	}
+}
+
+// Appended data is durable only up to the last SyncFile, and an append
+// can be torn like a write.
+func TestMemFSAppendFile(t *testing.T) {
+	m := NewMemFS()
+	if err := m.AppendFile("/log", []byte("ab"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.SyncFile("/log")
+	m.SyncDir("/")
+	if err := m.AppendFile("/log", []byte("cd"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := readStr(t, m, "/log"); got != "abcd" {
+		t.Errorf("log = %q, want abcd", got)
+	}
+	m.Recover()
+	if got := readStr(t, m, "/log"); got != "ab" {
+		t.Errorf("log after crash = %q, want synced ab", got)
+	}
+	m.TearWrite(1, 1)
+	if err := m.AppendFile("/log", []byte("xyz"), 0o644); !errors.Is(err, ErrTornWrite) {
+		t.Fatalf("torn append = %v", err)
+	}
+	if got := readStr(t, m, "/log"); got != "abx" {
+		t.Errorf("torn log = %q, want abx", got)
 	}
 }
 

@@ -213,7 +213,7 @@ type FrameStreamReader struct {
 // NewFrameStreamReader returns a reader decoding the binary framing
 // from r.
 func NewFrameStreamReader(r io.Reader) *FrameStreamReader {
-	return &FrameStreamReader{br: bufio.NewReaderSize(r, 64 << 10)}
+	return &FrameStreamReader{br: bufio.NewReaderSize(r, 64<<10)}
 }
 
 // ReadLine decodes the next record. It returns io.EOF at a stream

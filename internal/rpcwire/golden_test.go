@@ -152,7 +152,7 @@ func TestWireFieldsAreTagged(t *testing.T) {
 		adapt.Status{},
 		ErrorBody{}, IngestRequest{}, CreateLiveRequest{}, AppendRequest{}, SealRequest{}, RetentionRequest{},
 		RetileRequest{}, DesignLayoutRequest{}, DesignLayoutResponse{}, MetadataRequest{}, MarkDetectedRequest{},
-		DetectionsResponse{}, VideosResponse{}, VideoInfo{}, AutotilePauseRequest{}, RepairRequest{},
+		DetectionsResponse{}, VideosResponse{}, VideoInfo{}, AutotilePauseRequest{},
 		ShardsResponse{}, ShardedCacheStats{}, ScanRequest{}, DecodeFramesRequest{}, StreamLine{},
 	} {
 		walk(reflect.TypeOf(root))

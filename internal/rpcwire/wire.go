@@ -404,11 +404,6 @@ type AutotilePauseRequest struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// RepairRequest re-materializes one video's box→tile pointers.
-type RepairRequest struct {
-	Video string `json:"video"`
-}
-
 // ---- scale-out (tasm-router) ----
 
 // ShardInfo is one shard's identity and health as a router sees it.

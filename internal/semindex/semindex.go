@@ -1,21 +1,42 @@
 // Package semindex implements TASM's semantic index (paper §3.2): labeled
-// bounding boxes clustered on (video, label, time), stored in a B-tree.
-// Leaves carry the bounding box and, when the storage manager has computed
-// it, a pointer to the tile(s) the box intersects under the current layout.
+// bounding boxes clustered on (video, label, time). The index is
+// resident: each (video, label) keeps its detections in one slice sorted
+// by (frame, X0, Y0, X1, Y1), so a lookup over a frame range is a binary
+// search and one contiguous copy. The paper's leaf→tile pointers are not
+// kept: a scan derives a box's tiles from the live layout (box ∩ layout),
+// so pointers would be a second structure rewritten on every re-tile.
 //
 // The index also tracks detection coverage — which (video, label, frame)
 // combinations an object detector has fully processed — which is what the
 // lazy and incremental tiling policies consult to decide whether object
-// locations are "known" (paper §4.3).
+// locations are "known" (paper §4.3). Coverage is a list of disjoint
+// half-open frame intervals per (video, label).
+//
+// Durability: every write (AddBatch, MarkDetected, DeleteVideo) is one
+// length-prefixed, CRC-32C record appended to a single log and fsync'd
+// before it is applied in memory and acknowledged. Open replays the log.
+// A torn final record — a crash mid-append — is dropped; damage before
+// the final record fails Open with tasmerr.ErrTileCorrupt, so an
+// acknowledged write is never lost silently. When the log carries more
+// than twice the live state it is rewritten as a checkpoint of live
+// records: write, sync, rename over the log, sync the directory.
 package semindex
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
-	"github.com/tasm-repro/tasm/internal/btree"
+	"github.com/tasm-repro/tasm/internal/fsio"
 	"github.com/tasm-repro/tasm/internal/geom"
 	"github.com/tasm-repro/tasm/internal/tasmerr"
 )
@@ -27,58 +48,95 @@ type Detection struct {
 	Box   geom.Rect `json:"box"`
 }
 
-// TilePointer locates the tiles containing a box: the SOT the frame belongs
-// to and the row-major tile indexes within that SOT's layout.
-type TilePointer struct {
-	SOT   uint32
-	Tiles []uint16
+// span is a half-open frame interval [from, to).
+type span struct{ from, to int }
+
+// labelIndex is one (video, label): its detections sorted by
+// compareDetections with duplicates coalesced, and its coverage as
+// disjoint, non-adjacent spans in frame order.
+type labelIndex struct {
+	label string // shared by every stored Detection's Label
+	dets  []Detection
+	cov   []span
 }
 
-// Entry is a stored detection plus its (optional) tile pointer.
-type Entry struct {
-	Detection
-	Pointer *TilePointer // nil if the mapping has not been materialized
-}
-
-// Index is the semantic index. All methods are safe for concurrent use
-// (the underlying tree serializes access), and a lookup running beside
-// DeleteVideo sees all of the video's detections or none of them.
+// Index is the semantic index. All methods are safe for concurrent use,
+// and a lookup running beside DeleteVideo sees all of the video's
+// detections or none of them.
 type Index struct {
-	tree *btree.Tree
-	// mu makes DeleteVideo (exclusive) all-or-nothing for Lookup,
-	// LookupBoxes and Labels (shared): the tree serializes single
-	// operations only, and a lookup between two of DeleteVideo's
-	// tree.Delete calls would return a proper subset of a video's
-	// detections as if it were the answer.
-	mu sync.RWMutex
+	fs   fsio.FS
+	path string
+
+	// wmu serializes writers, so records reach the log and memory in
+	// one order, and guards the log accounting below. Only writers
+	// mutate the resident state, so a holder of wmu may read it
+	// without mu.
+	wmu      sync.Mutex
+	logBytes int  // bytes in the log file
+	logItems int  // detections and coverage marks its records carry
+	rewrite  bool // an append or checkpoint failed: checkpoint before appending
+	closed   bool
+
+	// mu guards the resident state. A writer takes it exclusively only
+	// to apply a record that is already durable, never across I/O, so
+	// lookups wait on memory operations alone.
+	mu     sync.RWMutex
+	videos map[string]map[string]*labelIndex
+	items  int // live detections + coverage spans
 }
 
-// Open opens or creates a persistent index at path.
-func Open(path string) (*Index, error) {
-	t, err := btree.Open(path)
-	if err != nil {
+// checkpointBytes is the log size below which the log is never
+// rewritten: a small log is cheaper to replay than to checkpoint.
+const checkpointBytes = 64 << 10
+
+// Record framing: payload length, CRC-32C of the length bytes, CRC-32C
+// of the payload. The header checksum tells a damaged length — which
+// would otherwise read as a torn tail and drop every later record —
+// from a record cut short by a crash.
+const headerLen = 12
+
+// Record payloads start with their op byte; strings are
+// uvarint-length-prefixed and integers are uvarints.
+const (
+	opAdd    = 'a' // video, then per detection: label, frame, x0, y0, x1, y1
+	opMark   = 'm' // video, label, from, to
+	opDelete = 'd' // video
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Open opens or creates the index whose log is the file at path.
+func Open(path string) (*Index, error) { return open(fsio.OS{}, path) }
+
+func open(fs fsio.FS, path string) (*Index, error) {
+	ix := &Index{fs: fs, path: path, videos: map[string]map[string]*labelIndex{}}
+	data, err := fs.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	return &Index{tree: t}, nil
+	missing := err != nil
+	if err := ix.replay(data); err != nil {
+		return nil, err
+	}
+	// A new log must exist durably before an append to it is
+	// acknowledged, and a torn tail must go before a record lands
+	// behind it.
+	if missing || ix.logBytes < len(data) {
+		if err := ix.checkpoint(); err != nil {
+			return nil, err
+		}
+	}
+	return ix, nil
 }
 
-// OpenMemory returns an in-memory index.
-func OpenMemory() *Index { return &Index{tree: btree.OpenMemory()} }
-
-// Close flushes and closes the index.
-func (ix *Index) Close() error { return ix.tree.Close() }
-
-// Sync flushes dirty pages to disk.
-func (ix *Index) Sync() error { return ix.tree.Sync() }
-
-// Len returns the total number of stored records (detections + coverage
-// markers).
-func (ix *Index) Len() int { return ix.tree.Len() }
-
-const (
-	prefixDetection = 'd'
-	prefixCoverage  = 'c'
-)
+// Close closes the index. Every acknowledged write is already durable;
+// writes after Close fail.
+func (ix *Index) Close() error {
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	ix.closed = true
+	return nil
+}
 
 func validName(s string) error {
 	if s == "" {
@@ -90,82 +148,7 @@ func validName(s string) error {
 	return nil
 }
 
-// detKey builds the clustered key: d video \0 label \0 frame box-coords.
-// Big-endian fixed-width integers preserve ordering, so a range scan over
-// (video, label, [from,to)) is a contiguous key range — exactly the access
-// path Scan(v, L, T) needs.
-func detKey(video, label string, frame int, box geom.Rect) []byte {
-	k := make([]byte, 0, len(video)+len(label)+3+20)
-	k = append(k, prefixDetection)
-	k = append(k, video...)
-	k = append(k, 0)
-	k = append(k, label...)
-	k = append(k, 0)
-	k = appendBE32(k, uint32(frame))
-	k = appendBE32(k, uint32(box.X0))
-	k = appendBE32(k, uint32(box.Y0))
-	k = appendBE32(k, uint32(box.X1))
-	k = appendBE32(k, uint32(box.Y1))
-	return k
-}
-
-// detPrefix returns the key prefix for (video, label) up to the frame field.
-func detPrefix(video, label string) []byte {
-	k := make([]byte, 0, len(video)+len(label)+3)
-	k = append(k, prefixDetection)
-	k = append(k, video...)
-	k = append(k, 0)
-	k = append(k, label...)
-	k = append(k, 0)
-	return k
-}
-
-func covKey(video, label string, frame int) []byte {
-	k := make([]byte, 0, len(video)+len(label)+7)
-	k = append(k, prefixCoverage)
-	k = append(k, video...)
-	k = append(k, 0)
-	k = append(k, label...)
-	k = append(k, 0)
-	k = appendBE32(k, uint32(frame))
-	return k
-}
-
-func appendBE32(b []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
-func encodePointer(p *TilePointer) []byte {
-	if p == nil {
-		return []byte{0}
-	}
-	out := make([]byte, 0, 6+2*len(p.Tiles))
-	out = append(out, 1)
-	out = appendBE32(out, p.SOT)
-	out = append(out, byte(len(p.Tiles)))
-	for _, t := range p.Tiles {
-		var tmp [2]byte
-		binary.BigEndian.PutUint16(tmp[:], t)
-		out = append(out, tmp[:]...)
-	}
-	return out
-}
-
-func decodePointer(v []byte) *TilePointer {
-	if len(v) < 1 || v[0] == 0 || len(v) < 6 {
-		return nil
-	}
-	p := &TilePointer{SOT: binary.BigEndian.Uint32(v[1:])}
-	n := int(v[5])
-	for i := 0; i < n && 6+2*i+2 <= len(v); i++ {
-		p.Tiles = append(p.Tiles, binary.BigEndian.Uint16(v[6+2*i:]))
-	}
-	return p
-}
-
-// validate rejects a detection the index cannot key: the caller's
+// validate rejects a detection the index cannot store: the caller's
 // mistake, classified with the 400-class sentinels.
 func (d Detection) validate() error {
 	if err := validName(d.Label); err != nil {
@@ -173,6 +156,9 @@ func (d Detection) validate() error {
 	}
 	if d.Frame < 0 {
 		return fmt.Errorf("semindex: negative frame %d: %w", d.Frame, tasmerr.ErrInvalidRange)
+	}
+	if d.Box.X0 < 0 || d.Box.Y0 < 0 { // with a non-empty box, X1 and Y1 are positive too
+		return fmt.Errorf("semindex: negative coordinate in %v for %s@%d: %w", d.Box, d.Label, d.Frame, tasmerr.ErrInvalidRange)
 	}
 	if d.Box.Empty() {
 		return fmt.Errorf("semindex: empty box for %s@%d: %w", d.Label, d.Frame, tasmerr.ErrInvalidRange)
@@ -186,8 +172,9 @@ func (ix *Index) Add(video string, d Detection) error {
 	return ix.AddBatch(video, []Detection{d})
 }
 
-// AddBatch records multiple detections. The whole batch is validated
-// first, so a malformed detection rejects it with nothing written.
+// AddBatch records multiple detections as one durable write. The whole
+// batch is validated first, so a malformed detection rejects it with
+// nothing written.
 func (ix *Index) AddBatch(video string, ds []Detection) error {
 	if err := validName(video); err != nil {
 		return err
@@ -197,148 +184,22 @@ func (ix *Index) AddBatch(video string, ds []Detection) error {
 			return err
 		}
 	}
+	if len(ds) == 0 {
+		return nil
+	}
+	rec := appendString([]byte{opAdd}, video)
 	for _, d := range ds {
-		if err := ix.tree.Put(detKey(video, d.Label, d.Frame, d.Box), encodePointer(nil)); err != nil {
-			return err
-		}
+		rec = appendDetection(rec, d)
 	}
-	return nil
-}
-
-// SetPointer materializes the box→tile mapping for one stored detection.
-func (ix *Index) SetPointer(video string, d Detection, p TilePointer) error {
-	return ix.tree.Put(detKey(video, d.Label, d.Frame, d.Box), encodePointer(&p))
-}
-
-// Lookup returns all detections for (video, label) with Frame in
-// [fromFrame, toFrame), ordered by frame.
-func (ix *Index) Lookup(video, label string, fromFrame, toFrame int) ([]Entry, error) {
-	if toFrame <= fromFrame {
-		return nil, nil
-	}
-	start := detKey(video, label, fromFrame, geom.Rect{})[:len(detPrefix(video, label))+4]
-	end := detKey(video, label, toFrame, geom.Rect{})[:len(detPrefix(video, label))+4]
-	var out []Entry
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	err := ix.tree.Scan(start, end, func(k, v []byte) bool {
-		e, ok := parseDetKey(k, video, label)
-		if !ok {
-			return true
-		}
-		e.Pointer = decodePointer(v)
-		out = append(out, e)
-		return true
-	})
-	return out, err
-}
-
-// LookupBoxes is Lookup returning just the bounding boxes.
-func (ix *Index) LookupBoxes(video, label string, fromFrame, toFrame int) ([]geom.Rect, error) {
-	entries, err := ix.Lookup(video, label, fromFrame, toFrame)
-	if err != nil {
-		return nil, err
-	}
-	boxes := make([]geom.Rect, len(entries))
-	for i, e := range entries {
-		boxes[i] = e.Box
-	}
-	return boxes, nil
-}
-
-func parseDetKey(k []byte, video, label string) (Entry, bool) {
-	prefix := detPrefix(video, label)
-	if len(k) != len(prefix)+20 {
-		return Entry{}, false
-	}
-	body := k[len(prefix):]
-	e := Entry{Detection: Detection{
-		Frame: int(binary.BigEndian.Uint32(body[0:])),
-		Label: label,
-		Box: geom.R(
-			int(binary.BigEndian.Uint32(body[4:])),
-			int(binary.BigEndian.Uint32(body[8:])),
-			int(binary.BigEndian.Uint32(body[12:])),
-			int(binary.BigEndian.Uint32(body[16:])),
-		),
-	}}
-	return e, true
-}
-
-// Labels returns the distinct labels stored for video, in sorted order.
-func (ix *Index) Labels(video string) ([]string, error) {
-	if err := validName(video); err != nil {
-		return nil, err
-	}
-	prefix := append([]byte{prefixDetection}, video...)
-	prefix = append(prefix, 0)
-	var labels []string
-	var last string
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	err := ix.tree.Scan(prefix, upperBound(prefix), func(k, v []byte) bool {
-		rest := k[len(prefix):]
-		i := 0
-		for i < len(rest) && rest[i] != 0 {
-			i++
-		}
-		label := string(rest[:i])
-		if label != last {
-			labels = append(labels, label)
-			last = label
-		}
-		return true
-	})
-	return labels, err
-}
-
-// upperBound returns the smallest key greater than every key with the given
-// prefix (nil if the prefix is all 0xFF).
-func upperBound(prefix []byte) []byte {
-	out := append([]byte(nil), prefix...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
-		}
-	}
-	return nil
-}
-
-// DeleteVideo removes every record stored for a video: detections (with
-// their tile pointers) and coverage markers. The storage manager calls
-// this when a video's tiles are deleted, so a later re-ingest under the
-// same name starts with a clean index instead of inheriting the deleted
-// video's object locations.
-func (ix *Index) DeleteVideo(video string) error {
-	if err := validName(video); err != nil {
-		return err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for _, kind := range []byte{prefixDetection, prefixCoverage} {
-		prefix := append(append([]byte{kind}, video...), 0)
-		// Collect first, then delete: Delete rebalances leaves, which
-		// must not happen under a live Scan.
-		var keys [][]byte
-		if err := ix.tree.Scan(prefix, upperBound(prefix), func(k, v []byte) bool {
-			keys = append(keys, append([]byte(nil), k...))
-			return true
-		}); err != nil {
-			return err
-		}
-		for _, k := range keys {
-			if _, err := ix.tree.Delete(k); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	return ix.commit(rec)
 }
 
 // MarkDetected records that a detector has fully processed frames
-// [fromFrame, toFrame) of video for the given label, meaning the absence of
-// index entries there is definitive.
+// [fromFrame, toFrame) of video for the given label, meaning the absence
+// of index entries there is definitive. The mark is one record whatever
+// the range's length; an empty range is a no-op.
 func (ix *Index) MarkDetected(video, label string, fromFrame, toFrame int) error {
 	if err := validName(video); err != nil {
 		return err
@@ -346,12 +207,344 @@ func (ix *Index) MarkDetected(video, label string, fromFrame, toFrame int) error
 	if err := validName(label); err != nil {
 		return err
 	}
-	for f := fromFrame; f < toFrame; f++ {
-		if err := ix.tree.Put(covKey(video, label, f), []byte{1}); err != nil {
+	if fromFrame < 0 || toFrame < fromFrame {
+		return fmt.Errorf("semindex: mark [%d, %d): %w", fromFrame, toFrame, tasmerr.ErrInvalidRange)
+	}
+	if toFrame == fromFrame {
+		return nil
+	}
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	return ix.commit(markRecord(video, label, span{fromFrame, toFrame}))
+}
+
+// DeleteVideo removes every record stored for a video: detections and
+// coverage. The storage manager calls this when a video's tiles are
+// deleted, so a later re-ingest under the same name starts with a clean
+// index instead of inheriting the deleted video's object locations.
+func (ix *Index) DeleteVideo(video string) error {
+	if err := validName(video); err != nil {
+		return err
+	}
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	if _, ok := ix.videos[video]; !ok {
+		return nil // memory is the log's replay: nothing to delete
+	}
+	return ix.commit(appendString([]byte{opDelete}, video))
+}
+
+// commit makes one record durable, then applies it. The caller holds wmu.
+func (ix *Index) commit(rec []byte) error {
+	if ix.closed {
+		return fmt.Errorf("semindex: %s: write after Close", ix.path)
+	}
+	if ix.rewrite {
+		if err := ix.checkpoint(); err != nil {
 			return err
 		}
 	}
+	framed := appendFrame(nil, rec)
+	if err := ix.fs.AppendFile(ix.path, framed, 0o644); err != nil {
+		ix.rewrite = true
+		return fmt.Errorf("semindex: append: %w", err)
+	}
+	if err := ix.fs.SyncFile(ix.path); err != nil {
+		ix.rewrite = true
+		return fmt.Errorf("semindex: sync: %w", err)
+	}
+	ix.mu.Lock()
+	n, err := ix.apply(rec)
+	ix.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	ix.logBytes += len(framed)
+	ix.logItems += n
+	if ix.logBytes > checkpointBytes && ix.logItems > 2*ix.items {
+		// The write is durable in the log either way; a failed
+		// checkpoint is retried before the next append.
+		_ = ix.checkpoint()
+	}
 	return nil
+}
+
+// checkpoint rewrites the log as the records of the live state. It runs
+// under wmu, so it reads the resident state without mu and lookups never
+// wait on its I/O.
+func (ix *Index) checkpoint() error {
+	var img []byte
+	items := 0
+	for video, labels := range ix.videos {
+		add, dets := appendString([]byte{opAdd}, video), 0
+		for label, li := range labels {
+			for _, d := range li.dets {
+				add = appendDetection(add, d)
+			}
+			for _, s := range li.cov {
+				img = appendFrame(img, markRecord(video, label, s))
+			}
+			dets += len(li.dets)
+			items += len(li.dets) + len(li.cov)
+		}
+		if dets > 0 {
+			img = appendFrame(img, add)
+		}
+	}
+	// Until the rename is durable an append could land in a file a crash
+	// discards, so a failed checkpoint is redone before the next append.
+	ix.rewrite = true
+	tmp := ix.path + ".tmp"
+	if err := ix.fs.WriteFile(tmp, img, 0o644); err != nil {
+		return fmt.Errorf("semindex: checkpoint: %w", err)
+	}
+	if err := ix.fs.SyncFile(tmp); err != nil {
+		return fmt.Errorf("semindex: checkpoint: %w", err)
+	}
+	if err := ix.fs.Rename(tmp, ix.path); err != nil {
+		return fmt.Errorf("semindex: checkpoint: %w", err)
+	}
+	if err := ix.fs.SyncDir(filepath.Dir(ix.path)); err != nil {
+		return fmt.Errorf("semindex: checkpoint: %w", err)
+	}
+	ix.logBytes, ix.logItems, ix.rewrite = len(img), items, false
+	return nil
+}
+
+// replay applies the log's records in order and sets logBytes to the
+// length of its intact prefix.
+func (ix *Index) replay(data []byte) error {
+	off := 0
+	for off < len(data) {
+		rest := data[off:]
+		if len(rest) < headerLen {
+			break // torn header
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		if crc32.Checksum(rest[:4], castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
+			if len(bytes.Trim(rest, "\x00")) == 0 {
+				break // a torn append the filesystem zero-filled
+			}
+			return ix.corrupt(off, "damaged record header")
+		}
+		if uint64(n) > uint64(len(rest)-headerLen) {
+			break // torn payload
+		}
+		end := off + headerLen + int(n)
+		rec := rest[headerLen : headerLen+int(n)]
+		if crc32.Checksum(rec, castagnoli) != binary.LittleEndian.Uint32(rest[8:]) {
+			if end == len(data) {
+				break // torn final record
+			}
+			return ix.corrupt(off, "record checksum mismatch")
+		}
+		items, err := ix.apply(rec)
+		if err != nil {
+			return ix.corrupt(off, err.Error())
+		}
+		ix.logItems += items
+		off = end
+	}
+	ix.logBytes = off
+	return nil
+}
+
+func (ix *Index) corrupt(off int, what string) error {
+	return fmt.Errorf("semindex: %s: %s at offset %d: %w", ix.path, what, off, tasmerr.ErrTileCorrupt)
+}
+
+// appendFrame appends one framed record to b.
+func appendFrame(b, rec []byte) []byte {
+	var hdr [headerLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(rec)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(hdr[:4], castagnoli))
+	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(rec, castagnoli))
+	return append(append(b, hdr[:]...), rec...)
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// appendDetection appends one detection of an opAdd record.
+func appendDetection(b []byte, d Detection) []byte {
+	b = appendString(b, d.Label)
+	for _, v := range [...]int{d.Frame, d.Box.X0, d.Box.Y0, d.Box.X1, d.Box.Y1} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	return b
+}
+
+func markRecord(video, label string, s span) []byte {
+	rec := appendString(appendString([]byte{opMark}, video), label)
+	return binary.AppendUvarint(binary.AppendUvarint(rec, uint64(s.from)), uint64(s.to))
+}
+
+// decoder reads a record payload; the first malformed field sets err
+// and zeroes every later read.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) int() int {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || v > math.MaxInt {
+		d.fail()
+		return 0
+	}
+	d.b = d.b[n:]
+	return int(v)
+}
+
+func (d *decoder) bytes() []byte {
+	n := d.int()
+	if n > len(d.b) {
+		d.fail()
+		return nil
+	}
+	s := d.b[:n]
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *decoder) fail() {
+	if d.err == nil {
+		d.err = errors.New("malformed record")
+	}
+	d.b = nil
+}
+
+// apply applies one record to the resident state and returns the number
+// of detections and coverage marks it carries. Writers hold mu.
+func (ix *Index) apply(rec []byte) (int, error) {
+	if len(rec) == 0 {
+		return 0, errors.New("empty record")
+	}
+	d := decoder{b: rec[1:]}
+	video := d.bytes()
+	switch rec[0] {
+	case opAdd:
+		n := 0
+		for len(d.b) > 0 {
+			label := d.bytes()
+			det := Detection{Frame: d.int(), Box: geom.Rect{X0: d.int(), Y0: d.int(), X1: d.int(), Y1: d.int()}}
+			if d.err != nil {
+				break
+			}
+			li := ix.label(video, label)
+			det.Label = li.label
+			if i, found := slices.BinarySearchFunc(li.dets, det, compareDetections); !found {
+				li.dets = slices.Insert(li.dets, i, det)
+				ix.items++
+			}
+			n++
+		}
+		return n, d.err
+	case opMark:
+		label := d.bytes()
+		s := span{d.int(), d.int()}
+		if d.err != nil {
+			return 0, d.err
+		}
+		li := ix.label(video, label)
+		// Merge s with every span it overlaps or touches.
+		i, _ := slices.BinarySearchFunc(li.cov, s.from, func(c span, f int) int { return cmp.Compare(c.to, f) })
+		j := i
+		for ; j < len(li.cov) && li.cov[j].from <= s.to; j++ {
+			s = span{min(s.from, li.cov[j].from), max(s.to, li.cov[j].to)}
+		}
+		li.cov = slices.Replace(li.cov, i, j, s)
+		ix.items += 1 - (j - i)
+		return 1, nil
+	case opDelete:
+		if d.err != nil {
+			return 0, d.err
+		}
+		for _, li := range ix.videos[string(video)] {
+			ix.items -= len(li.dets) + len(li.cov)
+		}
+		delete(ix.videos, string(video))
+		return 1, nil
+	}
+	return 0, fmt.Errorf("unknown record op %q", rec[0])
+}
+
+// label returns the (video, label) entry, creating it if absent.
+func (ix *Index) label(video, label []byte) *labelIndex {
+	labels := ix.videos[string(video)]
+	if labels == nil {
+		labels = map[string]*labelIndex{}
+		ix.videos[string(video)] = labels
+	}
+	li := labels[string(label)]
+	if li == nil {
+		li = &labelIndex{label: string(label)}
+		labels[li.label] = li
+	}
+	return li
+}
+
+// compareDetections orders detections by frame, then box corners: the
+// index's clustering within one (video, label).
+func compareDetections(a, b Detection) int {
+	return cmp.Or(
+		cmp.Compare(a.Frame, b.Frame),
+		cmp.Compare(a.Box.X0, b.Box.X0), cmp.Compare(a.Box.Y0, b.Box.Y0),
+		cmp.Compare(a.Box.X1, b.Box.X1), cmp.Compare(a.Box.Y1, b.Box.Y1),
+	)
+}
+
+// Lookup returns all detections for (video, label) with Frame in
+// [fromFrame, toFrame), ordered by frame, then box corners.
+func (ix *Index) Lookup(video, label string, fromFrame, toFrame int) ([]Detection, error) {
+	if toFrame <= fromFrame {
+		return nil, nil
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	li := ix.videos[video][label]
+	if li == nil {
+		return nil, nil
+	}
+	byFrame := func(d Detection, f int) int { return cmp.Compare(d.Frame, f) }
+	lo, _ := slices.BinarySearchFunc(li.dets, fromFrame, byFrame)
+	hi, _ := slices.BinarySearchFunc(li.dets[lo:], toFrame, byFrame)
+	if hi == 0 {
+		return nil, nil
+	}
+	return slices.Clone(li.dets[lo : lo+hi]), nil
+}
+
+// LookupBoxes is Lookup returning just the bounding boxes.
+func (ix *Index) LookupBoxes(video, label string, fromFrame, toFrame int) ([]geom.Rect, error) {
+	ds, err := ix.Lookup(video, label, fromFrame, toFrame)
+	if err != nil {
+		return nil, err
+	}
+	boxes := make([]geom.Rect, len(ds))
+	for i, d := range ds {
+		boxes[i] = d.Box
+	}
+	return boxes, nil
+}
+
+// Labels returns the labels with at least one detection stored for
+// video, in sorted order.
+func (ix *Index) Labels(video string) ([]string, error) {
+	if err := validName(video); err != nil {
+		return nil, err
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	var labels []string
+	for label, li := range ix.videos[video] {
+		if len(li.dets) > 0 {
+			labels = append(labels, label)
+		}
+	}
+	slices.Sort(labels)
+	return labels, nil
 }
 
 // DetectedAll reports whether every frame in [fromFrame, toFrame) has been
@@ -360,21 +553,13 @@ func (ix *Index) DetectedAll(video, label string, fromFrame, toFrame int) (bool,
 	if toFrame <= fromFrame {
 		return true, nil
 	}
-	count := 0
-	err := ix.tree.Scan(covKey(video, label, fromFrame), covKey(video, label, toFrame), func(k, v []byte) bool {
-		count++
-		return true
-	})
-	return count == toFrame-fromFrame, err
-}
-
-// DetectedFrames returns how many frames in [fromFrame, toFrame) have been
-// processed for label.
-func (ix *Index) DetectedFrames(video, label string, fromFrame, toFrame int) (int, error) {
-	count := 0
-	err := ix.tree.Scan(covKey(video, label, fromFrame), covKey(video, label, toFrame), func(k, v []byte) bool {
-		count++
-		return true
-	})
-	return count, err
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	li := ix.videos[video][label]
+	if li == nil {
+		return false, nil
+	}
+	// The one span that could hold fromFrame is the first ending after it.
+	i, _ := slices.BinarySearchFunc(li.cov, fromFrame+1, func(c span, f int) int { return cmp.Compare(c.to, f) })
+	return i < len(li.cov) && li.cov[i].from <= fromFrame && li.cov[i].to >= toFrame, nil
 }

@@ -1,20 +1,34 @@
 package semindex
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/tasm-repro/tasm/internal/geom"
 	"github.com/tasm-repro/tasm/internal/stats"
+	"github.com/tasm-repro/tasm/internal/tasmerr"
 )
 
 func det(f int, label string, x, y int) Detection {
 	return Detection{Frame: f, Label: label, Box: geom.R(x, y, x+20, y+20)}
 }
 
+// openTemp opens an index whose log lives in a fresh temp directory.
+func openTemp(t *testing.T) *Index {
+	t.Helper()
+	ix, err := Open(filepath.Join(t.TempDir(), "semindex.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func TestAddLookup(t *testing.T) {
-	ix := OpenMemory()
+	ix := openTemp(t)
 	defer ix.Close()
 	for f := 0; f < 100; f++ {
 		if err := ix.Add("traffic", det(f, "car", f, 10)); err != nil {
@@ -38,14 +52,11 @@ func TestAddLookup(t *testing.T) {
 		if e.Box != geom.R(20+i, 10, 40+i, 30) {
 			t.Errorf("entry %d box = %v", i, e.Box)
 		}
-		if e.Pointer != nil {
-			t.Errorf("entry %d has unexpected pointer", i)
-		}
 	}
 }
 
 func TestLookupIsolatesLabelsAndVideos(t *testing.T) {
-	ix := OpenMemory()
+	ix := openTemp(t)
 	defer ix.Close()
 	ix.Add("v1", det(5, "car", 0, 0))
 	ix.Add("v1", det(5, "person", 100, 100))
@@ -66,7 +77,7 @@ func TestLookupIsolatesLabelsAndVideos(t *testing.T) {
 }
 
 func TestMultipleBoxesPerFrame(t *testing.T) {
-	ix := OpenMemory()
+	ix := openTemp(t)
 	defer ix.Close()
 	ix.Add("v", det(3, "car", 0, 0))
 	ix.Add("v", det(3, "car", 100, 0))
@@ -83,8 +94,38 @@ func TestMultipleBoxesPerFrame(t *testing.T) {
 	}
 }
 
+// Within a frame, boxes come back ordered by X0, Y0, X1, Y1 whatever
+// order they were added in.
+func TestLookupOrder(t *testing.T) {
+	ix := openTemp(t)
+	defer ix.Close()
+	want := []geom.Rect{
+		geom.R(0, 5, 10, 10), geom.R(0, 6, 4, 9), geom.R(0, 6, 8, 8), geom.R(0, 6, 8, 9), geom.R(3, 0, 5, 5),
+	}
+	batch := []Detection{}
+	for _, i := range []int{4, 2, 0, 3, 1, 2} {
+		batch = append(batch, Detection{Frame: 1, Label: "car", Box: want[i]})
+	}
+	batch = append(batch, Detection{Frame: 0, Label: "car", Box: geom.R(9, 9, 10, 10)})
+	if err := ix.AddBatch("v", batch); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ix.LookupBoxes("v", "car", 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
 func TestValidation(t *testing.T) {
-	ix := OpenMemory()
+	ix := openTemp(t)
 	defer ix.Close()
 	if err := ix.Add("", det(0, "car", 0, 0)); err == nil {
 		t.Error("empty video accepted")
@@ -101,15 +142,31 @@ func TestValidation(t *testing.T) {
 	if err := ix.Add("v", Detection{Frame: 0, Label: "car"}); err == nil {
 		t.Error("empty box accepted")
 	}
+	// A negative coordinate is the caller's error, not a box stored as
+	// something else.
+	for _, b := range []geom.Rect{geom.R(-8, 4, 30, 40), geom.R(8, -4, 30, 40)} {
+		if err := ix.Add("v", Detection{Frame: 0, Label: "car", Box: b}); !errors.Is(err, tasmerr.ErrInvalidRange) {
+			t.Errorf("box %v: err = %v, want ErrInvalidRange", b, err)
+		}
+	}
+	for _, r := range [][2]int{{-3, 2}, {5, 4}} {
+		if err := ix.MarkDetected("v", "bus", r[0], r[1]); !errors.Is(err, tasmerr.ErrInvalidRange) {
+			t.Errorf("MarkDetected%v: err = %v, want ErrInvalidRange", r, err)
+		}
+	}
+	if labels, _ := ix.Labels("v"); len(labels) != 0 {
+		t.Errorf("rejected writes stored labels %v", labels)
+	}
 }
 
 func TestLabels(t *testing.T) {
-	ix := OpenMemory()
+	ix := openTemp(t)
 	defer ix.Close()
 	ix.Add("v", det(0, "person", 0, 0))
 	ix.Add("v", det(1, "car", 0, 0))
 	ix.Add("v", det(2, "car", 10, 0))
 	ix.Add("other", det(0, "bird", 0, 0))
+	ix.MarkDetected("v", "bus", 0, 10) // coverage alone is not a label
 	labels, err := ix.Labels("v")
 	if err != nil {
 		t.Fatal(err)
@@ -123,26 +180,8 @@ func TestLabels(t *testing.T) {
 	}
 }
 
-func TestPointerRoundTrip(t *testing.T) {
-	ix := OpenMemory()
-	defer ix.Close()
-	d := det(7, "car", 30, 40)
-	ix.Add("v", d)
-	if err := ix.SetPointer("v", d, TilePointer{SOT: 2, Tiles: []uint16{3, 4}}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := ix.Lookup("v", "car", 7, 8)
-	if len(got) != 1 || got[0].Pointer == nil {
-		t.Fatalf("pointer missing: %+v", got)
-	}
-	p := got[0].Pointer
-	if p.SOT != 2 || len(p.Tiles) != 2 || p.Tiles[0] != 3 || p.Tiles[1] != 4 {
-		t.Errorf("pointer = %+v", p)
-	}
-}
-
 func TestCoverage(t *testing.T) {
-	ix := OpenMemory()
+	ix := openTemp(t)
 	defer ix.Close()
 	ix.MarkDetected("v", "car", 0, 50)
 	ok, err := ix.DetectedAll("v", "car", 0, 50)
@@ -161,22 +200,68 @@ func TestCoverage(t *testing.T) {
 	if ok {
 		t.Error("unmarked label covered")
 	}
-	n, _ := ix.DetectedFrames("v", "car", 40, 60)
-	if n != 10 {
-		t.Errorf("DetectedFrames = %d, want 10", n)
+	ok, _ = ix.DetectedAll("v", "car", 40, 60)
+	if ok {
+		t.Error("range straddling the mark's end covered")
 	}
 	// Empty range is trivially covered.
 	ok, _ = ix.DetectedAll("v", "car", 5, 5)
 	if !ok {
 		t.Error("empty range not covered")
 	}
-	// Disjoint marks merge.
+	// Adjacent marks merge; a gap keeps them apart.
 	ix.MarkDetected("v", "person", 0, 10)
 	ix.MarkDetected("v", "person", 10, 20)
 	ok, _ = ix.DetectedAll("v", "person", 0, 20)
 	if !ok {
 		t.Error("adjacent marks did not merge")
 	}
+	ix.MarkDetected("v", "person", 30, 40)
+	if ok, _ = ix.DetectedAll("v", "person", 15, 35); ok {
+		t.Error("gap [20, 30) reported covered")
+	}
+	ix.MarkDetected("v", "person", 5, 32) // bridges both spans
+	if ok, _ = ix.DetectedAll("v", "person", 0, 40); !ok {
+		t.Error("bridging mark did not merge the spans")
+	}
+	// An empty mark is a no-op.
+	if err := ix.MarkDetected("v", "boat", 7, 7); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A mark is one record however long its range: the cost of
+// MarkDetected does not grow with the number of frames it covers.
+func TestMarkDetectedIsOneRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "semindex.log")
+	ix, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	before := fileSize(t, path)
+	start := time.Now()
+	if err := ix.MarkDetected("v", "car", 0, 1<<31); err != nil {
+		t.Fatal(err)
+	}
+	if wall := time.Since(start); wall > time.Second {
+		t.Errorf("MarkDetected of 2^31 frames took %v", wall)
+	}
+	if grew := fileSize(t, path) - before; grew >= 1<<10 {
+		t.Errorf("MarkDetected of 2^31 frames appended %d bytes", grew)
+	}
+	if ok, _ := ix.DetectedAll("v", "car", 1<<30, 1<<31); !ok {
+		t.Error("long mark not covered")
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 func TestPersistentIndex(t *testing.T) {
@@ -216,8 +301,40 @@ func TestPersistentIndex(t *testing.T) {
 	}
 }
 
+// Every acknowledged write is on disk when it returns: a second open of
+// the same log, with the first never closed (a killed process), sees
+// all of them.
+func TestReopenWithoutClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "semindex.log")
+	ix, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []Detection
+	for f := 0; f < 500; f++ {
+		batch = append(batch, det(f, "car", f%300, 7))
+	}
+	if err := ix.AddBatch("v", batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.MarkDetected("v", "car", 0, 500); err != nil {
+		t.Fatal(err)
+	}
+	ix2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix2.Close()
+	if got, _ := ix2.Lookup("v", "car", 0, 500); len(got) != 500 {
+		t.Errorf("reopened without Close: %d detections, want 500", len(got))
+	}
+	if ok, _ := ix2.DetectedAll("v", "car", 0, 500); !ok {
+		t.Error("reopened without Close: coverage lost")
+	}
+}
+
 func TestLookupBoxes(t *testing.T) {
-	ix := OpenMemory()
+	ix := openTemp(t)
 	defer ix.Close()
 	ix.Add("v", det(1, "car", 10, 20))
 	boxes, err := ix.LookupBoxes("v", "car", 0, 5)
@@ -229,20 +346,8 @@ func TestLookupBoxes(t *testing.T) {
 	}
 }
 
-func TestUpperBound(t *testing.T) {
-	if got := upperBound([]byte{1, 2, 3}); string(got) != string([]byte{1, 2, 4}) {
-		t.Errorf("upperBound = %v", got)
-	}
-	if got := upperBound([]byte{1, 0xFF}); string(got) != string([]byte{2}) {
-		t.Errorf("upperBound rollover = %v", got)
-	}
-	if got := upperBound([]byte{0xFF, 0xFF}); got != nil {
-		t.Errorf("all-FF upperBound = %v", got)
-	}
-}
-
 func TestEmptyRangeLookup(t *testing.T) {
-	ix := OpenMemory()
+	ix := openTemp(t)
 	defer ix.Close()
 	ix.Add("v", det(5, "car", 0, 0))
 	got, err := ix.Lookup("v", "car", 7, 7)
@@ -256,7 +361,7 @@ func TestEmptyRangeLookup(t *testing.T) {
 }
 
 func TestDeleteVideo(t *testing.T) {
-	ix := OpenMemory()
+	ix := openTemp(t)
 	for f := 0; f < 5; f++ {
 		if err := ix.Add("a", Detection{Frame: f, Label: "car", Box: geom.R(0, 0, 8, 8)}); err != nil {
 			t.Fatal(err)
@@ -297,7 +402,7 @@ func TestDeleteVideo(t *testing.T) {
 func TestDeleteVideoAtomicForLookups(t *testing.T) {
 	const frames = 400
 	for round := 0; round < 20; round++ {
-		ix := OpenMemory()
+		ix := openTemp(t)
 		for f := 0; f < frames; f++ {
 			for _, label := range []string{"car", "person"} {
 				if err := ix.Add("v", Detection{Frame: f, Label: label, Box: geom.R(0, 0, 8, 8)}); err != nil {

@@ -147,13 +147,6 @@ func (l Local) FSCKContext(ctx context.Context) (tasm.FsckReport, error) {
 	return l.FSCK()
 }
 
-func (l Local) RepairPointersContext(ctx context.Context, video string) error {
-	if err := alive(ctx); err != nil {
-		return err
-	}
-	return l.RepairPointers(video)
-}
-
 func (l Local) StatsContext(ctx context.Context) (rpcwire.ShardedCacheStats, error) {
 	if err := alive(ctx); err != nil {
 		return rpcwire.ShardedCacheStats{}, err

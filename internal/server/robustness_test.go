@@ -328,6 +328,12 @@ func TestBadIndexAndLiveWritesAre4xx(t *testing.T) {
 			http.StatusBadRequest, tasm.ErrInvalidRange},
 		{"empty label", add("traffic", tasm.Detection{Frame: 1, Box: box}),
 			http.StatusBadRequest, tasm.ErrInvalidName},
+		{"negative box coordinate", add("traffic", tasm.Detection{Frame: 1, Label: "car", Box: tasm.Rect{X0: -8, Y0: 4, X1: 30, Y1: 40}}),
+			http.StatusBadRequest, tasm.ErrInvalidRange},
+		{"markdetected with a negative start", func() error { return c.MarkDetectedContext(ctx, "traffic", "bus", -3, 2) },
+			http.StatusBadRequest, tasm.ErrInvalidRange},
+		{"markdetected with an inverted range", func() error { return c.MarkDetectedContext(ctx, "traffic", "bus", 9, 2) },
+			http.StatusBadRequest, tasm.ErrInvalidRange},
 		{"live create with a negative retention bound", func() error {
 			return c.CreateLiveContext(ctx, "cam", 64, 32, 10, &tasm.RetentionPolicy{MaxAgeFrames: -3})
 		}, http.StatusBadRequest, tasm.ErrInvalidRange},

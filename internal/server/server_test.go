@@ -320,8 +320,7 @@ func TestClientDeadlinePropagates(t *testing.T) {
 }
 
 // TestRemoteMaintenanceOps drives the unary operational surface end to
-// end: retile through the designed layout, stats, gc, fsck, repair,
-// delete.
+// end: retile through the designed layout, stats, gc, fsck, delete.
 func TestRemoteMaintenanceOps(t *testing.T) {
 	h := newHarness(t, server.Config{})
 
@@ -354,9 +353,6 @@ func TestRemoteMaintenanceOps(t *testing.T) {
 	}
 	if len(rep.Problems) != 0 {
 		t.Fatalf("fsck problems over the wire: %v", rep.Problems)
-	}
-	if err := h.c.RepairPointersContext(context.Background(), "traffic"); err != nil {
-		t.Fatal(err)
 	}
 
 	ds, err := h.c.LookupDetectionsContext(context.Background(), "traffic", "car", 0, 40)

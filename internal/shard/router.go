@@ -426,10 +426,6 @@ func (rt *Router) RetileSOTContext(ctx context.Context, video string, sotID int,
 	return st, err
 }
 
-func (rt *Router) RepairPointersContext(ctx context.Context, video string) error {
-	return rt.routed(video, func(c *client.Client) error { return c.RepairPointersContext(ctx, video) })
-}
-
 // ---- api.Backend: store-scoped operations fan out and merge ----
 
 func (rt *Router) VideosContext(ctx context.Context) ([]string, error) {

@@ -666,6 +666,10 @@ func TestBadIndexAndLiveWritesAre4xxThroughRouter(t *testing.T) {
 			f.c.AddDetectionsContext(ctx, "cam0", []tasm.Detection{{Frame: 1, Label: "car"}}), tasm.ErrInvalidRange},
 		"empty label": {
 			f.c.AddDetectionsContext(ctx, "cam0", []tasm.Detection{{Frame: 1, Box: box}}), tasm.ErrInvalidName},
+		"negative box coordinate": {
+			f.c.AddDetectionsContext(ctx, "cam0", []tasm.Detection{{Frame: 1, Label: "car", Box: tasm.Rect{X0: -8, Y0: 4, X1: 30, Y1: 40}}}), tasm.ErrInvalidRange},
+		"markdetected with a negative start": {
+			f.c.MarkDetectedContext(ctx, "cam0", "bus", -3, 2), tasm.ErrInvalidRange},
 		"live create with a negative retention bound": {
 			f.c.CreateLiveContext(ctx, "live0", 64, 32, 10, &tasm.RetentionPolicy{MaxBytes: -1}), tasm.ErrInvalidRange},
 	} {

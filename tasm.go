@@ -64,9 +64,8 @@ import (
 )
 
 // The error taxonomy: every failure the storage manager reports wraps one
-// of these sentinels (use errors.Is to classify, errors.As for rich types
-// like *core.PointerRefreshError). This is the stable contract an RPC
-// front end maps onto status codes.
+// of these sentinels (use errors.Is to classify). This is the stable
+// contract an RPC front end maps onto status codes.
 var (
 	// ErrVideoNotFound: the named video is not in the catalog.
 	ErrVideoNotFound = tasmerr.ErrVideoNotFound
@@ -197,12 +196,6 @@ type settings struct {
 	cfg      core.Config
 	adaptive bool
 	autotile adapt.Config
-}
-
-// WithQP sets the codec quantization parameter (default 22; higher is
-// smaller and lossier).
-func WithQP(qp int) Option {
-	return func(s *settings) { s.cfg.Codec.QP = qp }
 }
 
 // WithGOPLength sets the keyframe interval in frames; SOTs span one GOP.
@@ -343,7 +336,7 @@ func Open(dir string, opts ...Option) (*StorageManager, error) {
 }
 
 // Close stops the background re-tiler (waiting out any in-flight re-tile's
-// atomic commit), then flushes and closes the semantic index.
+// atomic commit), then closes the semantic index and the store.
 func (s *StorageManager) Close() error {
 	if s.retiler != nil {
 		s.retiler.Close()
@@ -614,19 +607,13 @@ func (s *StorageManager) GC() (GCReport, error) { return s.m.Store().GC() }
 // orphan directories that GC would reclaim. It never repairs.
 func (s *StorageManager) FSCK() (FsckReport, error) { return s.m.Store().FSCK() }
 
-// RepairPointers re-materializes the semantic index's box→tile pointers
-// from a video's live layouts — the recovery path after a re-tile whose
-// pointer refresh failed (see core.PointerRefreshError).
-func (s *StorageManager) RepairPointers(video string) error { return s.m.RepairPointers(video) }
-
 // RepairReport describes what one RepairStoreContext pass changed.
 type RepairReport = tilestore.RepairReport
 
 // RepairStoreContext validates every SOT's live tiles against the checksums
 // sealed into the catalog, quarantines corrupt version directories into
 // the tombstone area, and falls back to the newest earlier version that
-// still verifies, re-aiming caches and box→tile pointers at the adopted
-// layout. SOTs with no intact fallback stay referenced (and keep
+// still verifies, dropping the repaired videos' cached decodes. SOTs with no intact fallback stay referenced (and keep
 // failing FSCK) so data loss stays visible. This is the repair half of
 // `tasmctl fsck -repair`.
 //
@@ -653,15 +640,7 @@ func (s *StorageManager) Labels(video string) ([]string, error) { return s.m.Ind
 // LookupDetections returns indexed detections for (video, label) within
 // [fromFrame, toFrame).
 func (s *StorageManager) LookupDetections(video, label string, fromFrame, toFrame int) ([]Detection, error) {
-	entries, err := s.m.Index().Lookup(video, label, fromFrame, toFrame)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Detection, len(entries))
-	for i, e := range entries {
-		out[i] = e.Detection
-	}
-	return out, nil
+	return s.m.Index().Lookup(video, label, fromFrame, toFrame)
 }
 
 // RetileSOTContext re-encodes one SOT with the given layout (one that does
