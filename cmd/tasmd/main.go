@@ -63,7 +63,7 @@ func main() {
 		addr           = flag.String("addr", ":7878", "listen address (host:port)")
 		dir            = flag.String("dir", "", "storage directory (required)")
 		cache          = flag.Int64("cache", 0, "decoded-tile cache budget in bytes (0 = disabled)")
-		parallelism    = flag.Int("parallelism", 0, "concurrent tile decodes per request (0 = sequential, the paper's default)")
+		parallelism    = flag.Int("parallelism", 0, "concurrent tile decodes/encodes per request (0 = sequential, the paper's default)")
 		maxInflight    = flag.Int("max-inflight", server.DefaultMaxInflight, "concurrent requests before 503 overloaded")
 		tokenFile      = flag.String("token-file", "", "tenant table (one tenant:token per line); empty = open daemon, no auth")
 		tenantInflight = flag.Int("tenant-inflight", 0, "per-tenant concurrent requests before 503 (0 = max-inflight/4; requires -token-file)")

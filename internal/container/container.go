@@ -222,35 +222,17 @@ func EncodeVideo(frames []*frame.Frame, fps int, p vcodec.Params) (*Video, error
 	if len(frames) == 0 {
 		return nil, errors.New("container: no frames")
 	}
-	w, h := frames[0].W, frames[0].H
-	enc, err := vcodec.NewEncoder(w, h, p)
-	if err != nil {
-		return nil, err
-	}
-	defer enc.Release()
-	out := NewWriter(w, h, fps, enc.GOPLength(), p.QP)
-	for i, f := range frames {
-		pkt, isKey, err := enc.Encode(f, false)
-		if err != nil {
-			return nil, fmt.Errorf("container: frame %d: %w", i, err)
-		}
-		out.Append(pkt, isKey)
-	}
-	return out.Video(), nil
+	return EncodeTile(context.Background(), frames, layout.Single(frames[0].W, frames[0].H), 0, fps, p)
 }
 
-// EncodeTiled compresses frames under the given layout, producing one
-// independently decodable stream per tile (row-major order). Interior tile
-// edges are flagged so the codec applies its boundary treatment, the source
-// of tiling's quality cost.
-func EncodeTiled(frames []*frame.Frame, l layout.Layout, fps int, p vcodec.Params) ([]*Video, error) {
-	return EncodeTiledContext(context.Background(), frames, l, fps, p)
-}
-
-// EncodeTiledContext is EncodeTiled under a context, checked before every
-// frame encode so an ingest or re-tile aborts within one frame's work of a
-// cancellation. The returned error wraps ctx.Err().
-func EncodeTiledContext(ctx context.Context, frames []*frame.Frame, l layout.Layout, fps int, p vcodec.Params) ([]*Video, error) {
+// EncodeTile compresses tile ti of layout l into one independently
+// decodable stream: the one per-tile encode loop, under EncodeVideo,
+// EncodeTiledContext and the storage manager's encode fan-out. Interior
+// tile edges are flagged so the codec applies its boundary treatment, the
+// source of tiling's quality cost. ctx is checked before every frame, so a
+// cancelled encode stops within one frame's work with an error wrapping
+// ctx.Err(). frames are only read, so concurrent calls may share them.
+func EncodeTile(ctx context.Context, frames []*frame.Frame, l layout.Layout, ti, fps int, p vcodec.Params) (*Video, error) {
 	if len(frames) == 0 {
 		return nil, errors.New("container: no frames")
 	}
@@ -258,37 +240,53 @@ func EncodeTiledContext(ctx context.Context, frames []*frame.Frame, l layout.Lay
 		return nil, fmt.Errorf("container: layout %dx%d does not match frames %dx%d",
 			l.Width(), l.Height(), frames[0].W, frames[0].H)
 	}
-	nTiles := l.NumTiles()
-	videos := make([]*Video, nTiles)
-	for ti := 0; ti < nTiles; ti++ {
-		rect := l.TileRectByIndex(ti)
-		row, col := ti/l.Cols(), ti%l.Cols()
-		tp := p
-		tp.InteriorEdges = [4]bool{
-			vcodec.EdgeLeft:   col > 0,
-			vcodec.EdgeTop:    row > 0,
-			vcodec.EdgeRight:  col < l.Cols()-1,
-			vcodec.EdgeBottom: row < l.Rows()-1,
+	rect := l.TileRectByIndex(ti)
+	row, col := ti/l.Cols(), ti%l.Cols()
+	p.InteriorEdges = [4]bool{
+		vcodec.EdgeLeft:   col > 0,
+		vcodec.EdgeTop:    row > 0,
+		vcodec.EdgeRight:  col < l.Cols()-1,
+		vcodec.EdgeBottom: row < l.Rows()-1,
+	}
+	enc, err := vcodec.NewEncoder(rect.Width(), rect.Height(), p)
+	if err != nil {
+		return nil, err
+	}
+	defer enc.Release()
+	w := NewWriter(rect.Width(), rect.Height(), fps, enc.GOPLength(), p.QP)
+	for fi, f := range frames {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("container: encode stopped at tile %d frame %d: %w", ti, fi, err)
 		}
-		enc, err := vcodec.NewEncoder(rect.Width(), rect.Height(), tp)
+		if l.NumTiles() > 1 { // a single tile is the whole frame: no copy
+			f = f.Crop(rect)
+		}
+		pkt, isKey, err := enc.Encode(f, false)
+		if err != nil {
+			return nil, fmt.Errorf("container: tile %d frame %d: %w", ti, fi, err)
+		}
+		w.Append(pkt, isKey)
+	}
+	return w.Video(), nil
+}
+
+// EncodeTiled compresses frames under the given layout, producing one
+// independently decodable stream per tile (row-major order).
+func EncodeTiled(frames []*frame.Frame, l layout.Layout, fps int, p vcodec.Params) ([]*Video, error) {
+	return EncodeTiledContext(context.Background(), frames, l, fps, p)
+}
+
+// EncodeTiledContext is EncodeTiled under a context: EncodeTile applied
+// to each tile in turn, so an encode aborts within one frame's work of a
+// cancellation. The returned error wraps ctx.Err().
+func EncodeTiledContext(ctx context.Context, frames []*frame.Frame, l layout.Layout, fps int, p vcodec.Params) ([]*Video, error) {
+	videos := make([]*Video, l.NumTiles())
+	for ti := range videos {
+		v, err := EncodeTile(ctx, frames, l, ti, fps, p)
 		if err != nil {
 			return nil, err
 		}
-		w := NewWriter(rect.Width(), rect.Height(), fps, enc.GOPLength(), p.QP)
-		for fi, f := range frames {
-			if err := ctx.Err(); err != nil {
-				enc.Release()
-				return nil, fmt.Errorf("container: encode stopped at tile %d frame %d: %w", ti, fi, err)
-			}
-			pkt, isKey, err := enc.Encode(f.Crop(rect), false)
-			if err != nil {
-				enc.Release()
-				return nil, fmt.Errorf("container: tile %d frame %d: %w", ti, fi, err)
-			}
-			w.Append(pkt, isKey)
-		}
-		enc.Release()
-		videos[ti] = w.Video()
+		videos[ti] = v
 	}
 	return videos, nil
 }

@@ -1,6 +1,11 @@
 package container
 
 import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -193,6 +198,57 @@ func TestEncodeTiledValidation(t *testing.T) {
 	frames := makeFrames(64, 48, 2)
 	if _, err := EncodeTiled(frames, layout.Single(128, 128), 30, testParams()); err == nil {
 		t.Error("mismatched layout accepted")
+	}
+}
+
+// TestEncodeGolden pins the encoded bytes of an untiled and a non-uniform
+// tiled encode, so the shared per-tile loop cannot drift the bitstream.
+func TestEncodeGolden(t *testing.T) {
+	v, err := EncodeVideo(makeFrames(64, 48, 12), 30, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(v.Bytes())); got != "69e2226f1c7154238f1eac5dae481614870024e1dfccffb786c456f4e616f2aa" {
+		t.Errorf("EncodeVideo sha256 = %s", got)
+	}
+	l := layout.Layout{RowHeights: []int{32, 64}, ColWidths: []int{48, 32, 48}}
+	tiles, err := EncodeTiled(makeFrames(128, 96, 7), l, 30, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, tv := range tiles {
+		h.Write(tv.Bytes())
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != "05ca4d62101c4c8c8397282d384b39685f83cee26cd9bc5f35a8765490953e27" {
+		t.Errorf("EncodeTiled sha256 = %s", got)
+	}
+}
+
+// TestEncodeTiledIsEncodeTilePerTile asserts the serial tiled encode is
+// exactly EncodeTile applied to each tile, and that EncodeTile stops on a
+// cancelled context with an error wrapping it.
+func TestEncodeTiledIsEncodeTilePerTile(t *testing.T) {
+	ctx := context.Background()
+	frames := makeFrames(128, 96, 7)
+	l := layout.Layout{RowHeights: []int{32, 64}, ColWidths: []int{48, 32, 48}}
+	tiles, err := EncodeTiledContext(ctx, frames, l, 30, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti, tv := range tiles {
+		one, err := EncodeTile(ctx, frames, l, ti, 30, testParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(one.Bytes(), tv.Bytes()) {
+			t.Errorf("tile %d: EncodeTile bytes differ from EncodeTiledContext", ti)
+		}
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := EncodeTile(cctx, frames, l, 0, 30, testParams()); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled EncodeTile: %v, want context.Canceled", err)
 	}
 }
 

@@ -44,11 +44,13 @@ type Config struct {
 	// Align, MinTileW, MinTileH are the codec's layout constraints.
 	Align, MinTileW, MinTileH int
 	// Parallelism bounds concurrent tile decodes within one Scan or
-	// DecodeFrames call. Decode jobs fan out across every (SOT, tile)
-	// pair the request touches, so a query spanning many SOTs scales even
-	// when each SOT needs a single tile. The paper's prototype "does not
-	// parallelize encoding or decoding multiple tiles at once", so the
-	// default is 1; higher values are an extension this reproduction adds.
+	// DecodeFrames call and concurrent tile encodes within one ingest,
+	// re-tile or append. Jobs fan out across every (SOT, tile) pair the
+	// call touches, so a request spanning many SOTs scales even when each
+	// SOT has a single tile; encoded bytes are the same at any value. The
+	// paper's prototype "does not parallelize encoding or decoding multiple
+	// tiles at once", so the default is 1; higher values are an extension
+	// this reproduction adds.
 	Parallelism int
 	// CacheBudget bounds the in-memory cache of decoded tile GOPs in
 	// bytes. 0 disables caching (every scan decodes from disk, the
@@ -172,7 +174,8 @@ func (m *Manager) Store() *tilestore.Store { return m.store }
 // Meta returns the catalog record for a video.
 func (m *Manager) Meta(video string) (tilestore.VideoMeta, error) { return m.store.Meta(video) }
 
-// IngestStats reports the work done by an ingest.
+// IngestStats reports the work done by an ingest. EncodeWall is the wall
+// time of the tile-encode fan-out, not a sum of per-tile encode times.
 type IngestStats struct {
 	EncodeWall time.Duration `json:"encode_wall_ns"`
 	Bytes      int64         `json:"bytes"`
@@ -236,17 +239,17 @@ func (m *Manager) IngestTiledContext(ctx context.Context, video string, frames [
 	meta := tilestore.VideoMeta{
 		Name: video, W: w, H: h, FPS: fps, GOPLength: gop, FrameCount: n,
 	}
-	var sotTiles [][]*container.Video
-	start := time.Now()
+	chunks := make([][]*frame.Frame, numSOTs)
 	for si, l := range layouts {
 		from := si * gop
 		to := min(from+gop, n)
-		tiles, err := container.EncodeTiledContext(ctx, frames[from:to], l, fps, m.cfg.Codec)
-		if err != nil {
-			return IngestStats{}, fmt.Errorf("core: SOT %d: %w", si, err)
-		}
+		chunks[si] = frames[from:to]
 		meta.SOTs = append(meta.SOTs, tilestore.SOTMeta{ID: si, From: from, To: to, L: l})
-		sotTiles = append(sotTiles, tiles)
+	}
+	start := time.Now()
+	sotTiles, err := m.encodeSOTs(ctx, chunks, layouts, fps)
+	if err != nil {
+		return IngestStats{}, err
 	}
 	encodeWall := time.Since(start)
 	if err := m.store.CreateVideo(meta, sotTiles); err != nil {
@@ -505,6 +508,38 @@ func runJobs(ctx context.Context, n, workers int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// encodeSOTs encodes chunks[si] under layouts[si] for every SOT, returning
+// the tile streams indexed [SOT][tile]. Every (SOT, tile) pair is one job
+// fanned out over Config.Parallelism workers; each tile's bytes depend only
+// on its own inputs, so the output is identical at any parallelism. The
+// reported error is the failed job with the lowest (SOT, tile) index, or
+// one wrapping ctx.Err() when cancellation stopped the dispatch.
+func (m *Manager) encodeSOTs(ctx context.Context, chunks [][]*frame.Frame, layouts []layout.Layout, fps int) ([][]*container.Video, error) {
+	type job struct{ si, ti int }
+	var jobs []job
+	out := make([][]*container.Video, len(layouts))
+	for si, l := range layouts {
+		out[si] = make([]*container.Video, l.NumTiles())
+		for ti := range out[si] {
+			jobs = append(jobs, job{si, ti})
+		}
+	}
+	errs := make([]error, len(jobs))
+	runJobs(ctx, len(jobs), m.cfg.Parallelism, func(i int) {
+		j := jobs[i]
+		out[j.si][j.ti], errs[i] = container.EncodeTile(ctx, chunks[j.si], layouts[j.si], j.ti, fps, m.cfg.Codec)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: SOT %d: %w", jobs[i].si, err)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: encode: %w", err)
+	}
+	return out, nil
 }
 
 // tileDecodeResult carries one decode job's outcome.
@@ -879,7 +914,9 @@ func (m *Manager) decodeFramesLeased(ctx context.Context, video string, meta til
 	return out, st, nil
 }
 
-// RetileStats reports the work of a re-tiling operation.
+// RetileStats reports the work of a re-tiling operation. DecodeWall and
+// EncodeWall are the wall times of the decode and encode fan-outs, not
+// sums of per-tile times.
 type RetileStats struct {
 	DecodeWall time.Duration `json:"decode_wall_ns"`
 	EncodeWall time.Duration `json:"encode_wall_ns"`
@@ -940,11 +977,12 @@ func (m *Manager) RetileSOTContext(ctx context.Context, video string, sotID int,
 	rs.DecodeWall = st.DecodeWall
 
 	encStart := time.Now()
-	tiles, err := container.EncodeTiledContext(ctx, frames, l, meta.FPS, m.cfg.Codec)
+	sotTiles, err := m.encodeSOTs(ctx, [][]*frame.Frame{frames}, []layout.Layout{l}, meta.FPS)
 	if err != nil {
 		return rs, err
 	}
 	rs.EncodeWall = time.Since(encStart)
+	tiles := sotTiles[0]
 	if err := m.store.ReplaceSOTLeased(lease, video, sotID, l, tiles); err != nil {
 		return rs, err
 	}

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/tasm-repro/tasm/internal/container"
 	"github.com/tasm-repro/tasm/internal/frame"
 	"github.com/tasm-repro/tasm/internal/layout"
 	"github.com/tasm-repro/tasm/internal/tasmerr"
@@ -44,7 +43,8 @@ func (m *Manager) CreateLiveVideo(video string, w, h, fps int, pol *tilestore.Re
 	return nil
 }
 
-// AppendStats reports the work of one AppendGOPContext call.
+// AppendStats reports the work of one AppendGOPContext call. EncodeWall
+// sums the wall time of each GOP's encode, not per-tile encode times.
 type AppendStats struct {
 	EncodeWall time.Duration `json:"encode_wall_ns"`
 	Bytes      int64         `json:"bytes"`
@@ -87,11 +87,12 @@ func (m *Manager) AppendGOPContext(ctx context.Context, video string, frames []*
 		for from := 0; from < len(frames); from += gop {
 			to := min(from+gop, len(frames))
 			encStart := time.Now()
-			tiles, err := container.EncodeTiledContext(ctx, frames[from:to], l, meta.FPS, m.cfg.Codec)
+			sotTiles, err := m.encodeSOTs(ctx, [][]*frame.Frame{frames[from:to]}, []layout.Layout{l}, meta.FPS)
 			if err != nil {
 				return fmt.Errorf("core: append to %q: %w", video, err)
 			}
 			st.EncodeWall += time.Since(encStart)
+			tiles := sotTiles[0]
 			sot, err := m.store.AppendSOT(video, l, tiles)
 			if err != nil {
 				return err

@@ -112,7 +112,7 @@ func (i *Ingestor) Forget(video string) {
 }
 
 // Pending reports how many commits are queued (running or waiting) for
-// video — surfaced by /metrics and useful in tests.
+// video. Only tests read it; /metrics does not export it.
 func (i *Ingestor) Pending(video string) int {
 	i.mu.Lock()
 	defer i.mu.Unlock()

@@ -225,10 +225,12 @@ func WithMinTileSize(w, h int) Option {
 }
 
 // WithParallelism bounds concurrent tile decodes within one Scan or
-// DecodeFrames call. Decode jobs fan out across every (SOT, tile) pair the
-// request touches, so long time ranges scale even when each SOT needs only
-// one tile. The paper's prototype decodes tiles sequentially (the default,
-// 1); higher values are an extension of this reproduction.
+// DecodeFrames call and concurrent tile encodes within one ingest, re-tile
+// or append. Jobs fan out across every (SOT, tile) pair the call touches,
+// so long time ranges scale even when each SOT has only one tile; the
+// stored bytes do not depend on n. The paper's prototype encodes and
+// decodes tiles sequentially (the default, 1); higher values are an
+// extension of this reproduction.
 func WithParallelism(n int) Option {
 	return func(s *settings) { s.cfg.Parallelism = n }
 }
