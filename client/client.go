@@ -112,15 +112,14 @@ type RetryPolicy struct {
 // Client talks to one tasmd. It is safe for concurrent use; streams
 // opened from it are independent requests.
 type Client struct {
-	base        string
-	hc          *http.Client
-	customHC    bool
-	enc         Encoding
-	token       string
-	tlsCfg      *tls.Config
-	clientCert  *tls.Certificate
-	retry       RetryPolicy
-	cacheBudget int64 // -1 = unset
+	base       string
+	hc         *http.Client
+	customHC   bool
+	enc        Encoding
+	token      string
+	tlsCfg     *tls.Config
+	clientCert *tls.Certificate
+	retry      RetryPolicy
 }
 
 // Option configures a Client.
@@ -175,25 +174,11 @@ func WithRetry(p RetryPolicy) Option {
 	return func(c *Client) { c.retry = p }
 }
 
-// WithCacheBudget caps, per request, how many bytes of newly decoded
-// tiles this client's requests may insert into the daemon's shared
-// decoded-tile cache (the Tasm-Cache-Budget header; 0 = insert
-// nothing). Use it on clients running one-off sweeps so they cannot
-// evict the working set of the daemon's repeated queries.
-func WithCacheBudget(bytes int64) Option {
-	return func(c *Client) {
-		if bytes < 0 {
-			bytes = 0
-		}
-		c.cacheBudget = bytes
-	}
-}
-
 // New returns a client for the daemon at addr ("host:port" or a full
 // http:// / https:// URL), configured by the options. It does not
 // touch the network; use Ping to probe.
 func New(addr string, opts ...Option) (*Client, error) {
-	c := &Client{cacheBudget: -1}
+	c := &Client{}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -607,43 +592,47 @@ func setDeadline(r *http.Request, ctx context.Context) {
 }
 
 // applyHeaders attaches the client-level contract headers: the context
-// deadline, the bearer token, the cache admission budget, and the
-// trace id (resolved once per logical operation by traceID so retried
-// attempts correlate under one id).
+// deadline, the bearer token, and the trace id (resolved once per
+// logical operation by traceID so retried attempts correlate under one
+// id).
 func (c *Client) applyHeaders(hr *http.Request, ctx context.Context, tid string) {
 	setDeadline(hr, ctx)
 	hr.Header.Set(obs.TraceHeader, tid)
 	if c.token != "" {
 		hr.Header.Set("Authorization", "Bearer "+c.token)
 	}
-	if c.cacheBudget >= 0 {
-		hr.Header.Set(rpcwire.CacheBudgetHeader, strconv.FormatInt(c.cacheBudget, 10))
-	}
 }
 
-// do runs one unary request (under the retry policy). A non-200
-// response decodes through the error envelope into a sentinel-wrapping
-// error.
+// do runs one unary request with a JSON body (req nil = no body)
+// through send.
 func (c *Client) do(ctx context.Context, method, path string, req, resp any) error {
-	var data []byte
-	if req != nil {
-		var err error
-		if data, err = json.Marshal(req); err != nil {
-			return fmt.Errorf("client: encoding request: %w", err)
-		}
+	if req == nil {
+		return c.send(ctx, method, path, "", nil, resp)
 	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		return fmt.Errorf("client: encoding request: %w", err)
+	}
+	return c.send(ctx, method, path, "application/json", data, resp)
+}
+
+// send is the one unary request path: body (nil = none) goes out as
+// contentType under the retry policy, a 200 response's JSON decodes
+// into resp (nil = discarded), and a non-200 response decodes through
+// the error envelope into a sentinel-wrapping error.
+func (c *Client) send(ctx context.Context, method, path, contentType string, body []byte, resp any) error {
 	tid := traceID(ctx)
 	return c.withRetry(ctx, func() error {
-		var body io.Reader
-		if req != nil {
-			body = bytes.NewReader(data)
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
 		}
-		hr, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+		hr, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 		if err != nil {
 			return fmt.Errorf("client: %w", err)
 		}
-		if req != nil {
-			hr.Header.Set("Content-Type", "application/json")
+		if contentType != "" {
+			hr.Header.Set("Content-Type", contentType)
 		}
 		c.applyHeaders(hr, ctx, tid)
 		res, err := c.hc.Do(hr)

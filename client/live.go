@@ -3,9 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -53,7 +51,7 @@ func (c *Client) AppendContext(ctx context.Context, video string, frames []*tasm
 			return tasm.AppendStats{}, fmt.Errorf("client: framing append body: %w", err)
 		}
 		path := "/v1/append?video=" + url.QueryEscape(video)
-		err := c.doRaw(ctx, path, rpcwire.ContentTypeBinary, buf.Bytes(), &st)
+		err := c.send(ctx, http.MethodPost, path, rpcwire.ContentTypeBinary, buf.Bytes(), &st)
 		return st, err
 	}
 	req := rpcwire.AppendRequest{Video: video, Frames: make([]rpcwire.Frame, len(frames))}
@@ -95,36 +93,4 @@ func (c *Client) Subscribe(ctx context.Context, video string, from int) (*FrameC
 		return nil, err
 	}
 	return &FrameCursor{s: s}, nil
-}
-
-// doRaw is do for a non-JSON request body (the binary append path):
-// same retry policy, headers, and error envelope, caller-chosen
-// content type.
-func (c *Client) doRaw(ctx context.Context, path, contentType string, body []byte, resp any) error {
-	tid := traceID(ctx)
-	return c.withRetry(ctx, func() error {
-		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("client: %w", err)
-		}
-		hr.Header.Set("Content-Type", contentType)
-		c.applyHeaders(hr, ctx, tid)
-		res, err := c.hc.Do(hr)
-		if err != nil {
-			return transportError(ctx, err)
-		}
-		defer func() {
-			io.Copy(io.Discard, io.LimitReader(res.Body, 1<<20)) //nolint:errcheck // keep-alive best effort
-			res.Body.Close()
-		}()
-		if res.StatusCode != http.StatusOK {
-			return decodeErrorResponse(res)
-		}
-		if resp != nil {
-			if err := json.NewDecoder(res.Body).Decode(resp); err != nil {
-				return fmt.Errorf("client: decoding response: %w", err)
-			}
-		}
-		return nil
-	})
 }

@@ -10,8 +10,8 @@
 //     δ > η·R) backed by the calibrated cost model.
 //   - Execution: Retiler, a background goroutine applying the advisor's
 //     bounded action batches under MVCC with IO budgeting, pause-on-error,
-//     and graceful drain; it also warms and pins the decoded-tile cache
-//     for SOTs the workload has proven hot.
+//     and graceful drain. It re-tiles only: the decoded-tile cache
+//     admits every decode that fits its budget, whatever the loop does.
 package adapt
 
 import (

@@ -68,26 +68,14 @@ func TestRecorderObservationAndHeat(t *testing.T) {
 	r := NewRecorder(3)
 	obs := func(q query.Query) { r.ObserveScan(core.ScanObservation{Query: q, SOTs: 1}) }
 
-	if r.HotRange("v", 0, 100) {
-		t.Fatal("empty recorder reports hot")
-	}
 	q := query.Query{Video: "v", Pred: query.Single("car"), From: 0, To: 100}
 	obs(q)
-	if r.HotRange("v", 0, 100) {
-		t.Fatal("single touch must stay cold (the toucher itself is recorded)")
-	}
 	obs(q)
-	if !r.HotRange("v", 0, 100) {
-		t.Fatal("second touch must be hot")
-	}
-	if r.HotRange("v", 500, 600) {
-		t.Fatal("untouched range reports hot")
-	}
 	if got := r.QueriesObserved(); got != 2 {
 		t.Fatalf("QueriesObserved = %d, want 2", got)
 	}
 
-	// Whole-frame observations (empty predicate) heat but never queue.
+	// Whole-frame observations (empty predicate) never queue.
 	obs(query.Query{Video: "v", From: 200, To: 300})
 	if r.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2 (label-less request must not queue)", r.Pending())
@@ -105,8 +93,9 @@ func TestRecorderObservationAndHeat(t *testing.T) {
 		t.Fatalf("Drain got %d, Pending %d", len(drained), r.Pending())
 	}
 
+	obs(q)
 	r.ForgetVideo("v")
-	if r.HotRange("v", 0, 100) || r.Pending() != 0 {
+	if r.Pending() != 0 {
 		t.Fatal("ForgetVideo left state behind")
 	}
 }

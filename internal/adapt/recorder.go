@@ -9,11 +9,6 @@ import (
 	"github.com/tasm-repro/tasm/internal/query"
 )
 
-// heatBucketFrames is the granularity of the per-video frame-heat
-// histogram: coarse enough that a video's counters stay small, fine
-// enough to separate a workload's hot window from a cold sweep.
-const heatBucketFrames = 32
-
 // defaultPendingCap bounds the per-video queue of observations awaiting
 // the decision layer. When the re-tiler falls behind, the oldest
 // observations are dropped (and counted): recent demand is what should
@@ -48,9 +43,6 @@ type recorderShard struct {
 type videoRecord struct {
 	// pending holds label-carrying queries awaiting the decision layer.
 	pending []query.Query
-	// heat counts how many observed requests touched each
-	// heatBucketFrames-sized frame bucket, labels or not.
-	heat map[int]uint32
 }
 
 // NewRecorder returns an empty recorder. pendingCap bounds each video's
@@ -69,6 +61,9 @@ func (r *Recorder) shardFor(video string) *recorderShard {
 // ObserveScan records one planned request (core.QueryObserver).
 func (r *Recorder) ObserveScan(o core.ScanObservation) {
 	r.queries.Add(1)
+	if o.Query.Pred.Empty() {
+		return // whole-frame request: counted, but no re-tiling evidence
+	}
 	s := r.shardFor(o.Query.Video)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -77,40 +72,14 @@ func (r *Recorder) ObserveScan(o core.ScanObservation) {
 	}
 	vr := s.videos[o.Query.Video]
 	if vr == nil {
-		vr = &videoRecord{heat: map[int]uint32{}}
+		vr = &videoRecord{}
 		s.videos[o.Query.Video] = vr
-	}
-	for b := o.Query.From / heatBucketFrames; b <= (o.Query.To-1)/heatBucketFrames; b++ {
-		vr.heat[b]++
-	}
-	if o.Query.Pred.Empty() {
-		return // whole-frame request: heat only, no re-tiling evidence
 	}
 	if len(vr.pending) >= r.pendingCap {
 		vr.pending = vr.pending[1:]
 		r.dropped.Add(1)
 	}
 	vr.pending = append(vr.pending, o.Query)
-}
-
-// HotRange reports whether frames [from, to) of video were touched by an
-// earlier request (core.QueryObserver). The current request has already
-// been recorded by the time its decodes ask, so "hot" means a bucket
-// count of at least two.
-func (r *Recorder) HotRange(video string, from, to int) bool {
-	s := r.shardFor(video)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vr := s.videos[video]
-	if vr == nil {
-		return false
-	}
-	for b := from / heatBucketFrames; b <= (to-1)/heatBucketFrames; b++ {
-		if vr.heat[b] >= 2 {
-			return true
-		}
-	}
-	return false
 }
 
 // ForgetVideo drops all recorded state for video (core.QueryObserver).

@@ -26,11 +26,6 @@ type Config struct {
 	// has applied this many actions (default 8); surplus observations
 	// stay queued for the next cycle, keeping each batch bounded.
 	MaxActionsPerCycle int
-	// Warm, when set, decodes a just-re-tiled SOT through the tile cache
-	// and pins it there: the workload proved the SOT hot, so the
-	// background pays the first decode of the new layout instead of the
-	// next query. At most maxPinned SOTs stay pinned (oldest unpinned).
-	Warm bool
 	// Logger receives action and pause diagnostics (nil = silent).
 	Logger *log.Logger
 }
@@ -39,7 +34,6 @@ const (
 	defaultInterval  = 500 * time.Millisecond
 	defaultBatch     = 64
 	defaultMaxAction = 8
-	maxPinned        = 8
 )
 
 // Retiler is the execution layer: a background goroutine that drains the
@@ -79,13 +73,6 @@ type Retiler struct {
 	applied     int64
 	failed      int64
 	bytesSpent  int64
-
-	pinned []pinRef // ring of warmed SOTs currently pinned in the cache
-}
-
-type pinRef struct {
-	video string
-	sot   int
 }
 
 // Status is a point-in-time snapshot of the subsystem, served over
@@ -140,24 +127,11 @@ func (r *Retiler) Recorder() *Recorder { return r.rec }
 // video also clears the advisor, synchronized against in-flight cycles.
 func (r *Retiler) ObserveScan(o core.ScanObservation) { r.rec.ObserveScan(o) }
 
-func (r *Retiler) HotRange(video string, from, to int) bool {
-	return r.rec.HotRange(video, from, to)
-}
-
 func (r *Retiler) ForgetVideo(video string) {
 	r.rec.ForgetVideo(video)
 	r.advMu.Lock()
 	r.adv.Forget(video)
 	r.advMu.Unlock()
-	r.mu.Lock()
-	kept := r.pinned[:0]
-	for _, p := range r.pinned {
-		if p.video != video {
-			kept = append(kept, p)
-		}
-	}
-	r.pinned = kept
-	r.mu.Unlock()
 }
 
 // Start launches the background loop. It is a no-op if already started
@@ -335,9 +309,6 @@ func (r *Retiler) cycle(ctx context.Context) (applied int, more bool, err error)
 				r.cfg.Logger.Printf("autotile: retiled %s SOT %d (%s, %d tiles, %d B)",
 					a.Video, a.SOTID, a.Reason, a.Layout.NumTiles(), rs.Bytes)
 			}
-			if r.cfg.Warm {
-				r.warmAndPin(ctx, a.Video, a.SOTID)
-			}
 			r.throttle(ctx, rs.Bytes)
 		}
 		if applied >= r.cfg.MaxActionsPerCycle {
@@ -358,30 +329,6 @@ func (r *Retiler) pauseOnError(err error) {
 	r.mu.Unlock()
 	if r.cfg.Logger != nil {
 		r.cfg.Logger.Printf("autotile: paused on error: %v", err)
-	}
-}
-
-// warmAndPin decodes the re-tiled SOT through the cache and pins it,
-// unpinning the oldest warm SOT beyond the ring. Warm failures are
-// logged, never fatal: the cache is an optimization.
-func (r *Retiler) warmAndPin(ctx context.Context, video string, sot int) {
-	if _, err := r.m.WarmSOTContext(ctx, video, sot); err != nil {
-		if r.cfg.Logger != nil && ctx.Err() == nil {
-			r.cfg.Logger.Printf("autotile: warm %s/%d: %v", video, sot, err)
-		}
-		return
-	}
-	r.m.PinSOT(video, sot)
-	r.mu.Lock()
-	r.pinned = append(r.pinned, pinRef{video, sot})
-	var evict []pinRef
-	if len(r.pinned) > maxPinned {
-		evict = append(evict, r.pinned[:len(r.pinned)-maxPinned]...)
-		r.pinned = append(r.pinned[:0], r.pinned[len(evict):]...)
-	}
-	r.mu.Unlock()
-	for _, p := range evict {
-		r.m.UnpinSOT(p.video, p.sot)
 	}
 }
 

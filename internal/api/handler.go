@@ -108,7 +108,7 @@ var routes = []route{
 
 // op lifts a Backend-reaching handler into a route: the operation
 // context — the request context (cancelled on client disconnect),
-// bounded by Tasm-Deadline-Ms, carrying Tasm-Cache-Budget — is derived
+// bounded by Tasm-Deadline-Ms — is derived
 // exactly once here and handed down, so every route validates the
 // headers and every backend hop sees the caller's deadline.
 func op(fn func(*Handler, context.Context, http.ResponseWriter, *http.Request)) func(*Handler, http.ResponseWriter, *http.Request) {

@@ -116,7 +116,7 @@ type Manager struct {
 	flights flightGroup
 
 	// observer, when installed via SetQueryObserver, receives every
-	// query-path request and informs cache admission (see observer.go).
+	// query-path request (see observer.go).
 	observer QueryObserver
 
 	// hub wakes /v1/subscribe tails as live-append commits land, and
@@ -580,19 +580,6 @@ func (m *Manager) decodeTilePrefix(ctx context.Context, video string, lease *til
 		// generation and is never served.
 		Gen: m.cache.Gen(video, sot.ID),
 	}
-	// A budget-capped request never leads a singleflight: its admission
-	// decision (possibly "insert nothing") would bind every unbudgeted
-	// waiter sharing the decode, suppressing caching of exactly the
-	// working set the budget exists to protect. It still reads Get hits
-	// above and still Puts within its own budget; it just decodes
-	// privately.
-	if hasCacheBudget(ctx) {
-		if fs, ok := m.cache.Get(k, n); ok {
-			r.hit = true
-			return fs, r
-		}
-		return m.decodeTileFromDisk(ctx, video, lease, sot, ti, n, k)
-	}
 	for {
 		if fs, ok := m.cache.Get(k, n); ok {
 			r.hit = true
@@ -651,13 +638,9 @@ func (m *Manager) decodeTileFromDisk(ctx context.Context, video string, lease *t
 		return nil, r
 	}
 	r.ds = ds
-	// Admission is gated twice: by the observed workload (with an observer
-	// installed, ranges never queried twice do not earn cache residency —
-	// see admitObserved) and by the request's cache budget (when one rides
-	// the context): a capped request still reads the cache but stops
-	// inserting once its budget is spent, so a one-off sweep cannot
-	// evict every other request's working set.
-	if m.cache != nil && m.admitObserved(ctx, video, sot) && admitCacheBytes(ctx, framesBytes(frames)) {
+	// Every decode is offered to the cache; Put admits it if it fits the
+	// budget and evicts least-recently-used entries to make room.
+	if m.cache != nil {
 		r.evicted = m.cache.Put(k, frames)
 	}
 	return frames, r

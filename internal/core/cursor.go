@@ -510,8 +510,8 @@ func (m *Manager) frameCursor(ctx context.Context, video string, from, to, windo
 	}
 	sotMetas := meta.SOTsInRange(from, to)
 	c.stats.SOTsTouched = len(sotMetas)
-	// Whole-frame requests carry no label predicate: they feed range heat
-	// to the observer (for cache admission) but no re-tiling evidence.
+	// Whole-frame requests carry no label predicate: the observer counts
+	// them as requests but takes no re-tiling evidence from them.
 	m.observeScan(query.Query{Video: video}, from, to, len(sotMetas))
 	fc := &FrameCursor{cursor: c}
 	sotJobs := planFrameJobs(sotMetas, from, to)

@@ -60,12 +60,6 @@ const (
 	APIVersionBinary = "2"
 )
 
-// CacheBudgetHeader carries a per-request cache admission budget in
-// bytes: how much of the daemon's shared decoded-tile cache this
-// request may fill with its own decodes (0 = none — the request reads
-// the cache but cannot pollute it). Absent means unlimited admission.
-const CacheBudgetHeader = "Tasm-Cache-Budget"
-
 // streamMagic opens every binary stream; a reader that does not see it
 // is pointed at the wrong encoding (or the wrong port) and must fail
 // loudly instead of misparsing pixel data as record tags.

@@ -50,8 +50,7 @@ func fillDistinct(v reflect.Value, n *int) {
 // that travel as they are. The literals were captured from the mirror
 // structs rpcwire declared before the JSON tags moved onto the types
 // themselves (same fill, same field order), so a passing test is "the
-// wire did not change". The one additive key is tilecache.Stats's
-// pinned, omitted when zero.
+// wire did not change".
 func TestGoldenWireBytes(t *testing.T) {
 	for _, tc := range []struct {
 		v          any // pointer to a zero value
@@ -91,7 +90,7 @@ func TestGoldenWireBytes(t *testing.T) {
 			`{"quarantined":["s1","s2"],"reverted":["s3","s4"],"videos":["s5","s6"]}`,
 			`{"quarantined":null,"reverted":null,"videos":null}`},
 		{&tilecache.Stats{},
-			`{"hits":1,"misses":2,"evictions":3,"invalidations":4,"bytes_cached":5,"entries":6,"budget":7,"pinned":8}`,
+			`{"hits":1,"misses":2,"evictions":3,"invalidations":4,"bytes_cached":5,"entries":6,"budget":7}`,
 			`{"hits":0,"misses":0,"evictions":0,"invalidations":0,"bytes_cached":0,"entries":0,"budget":0}`},
 		{&adapt.Status{},
 			`{"enabled":true,"paused":true,"pause_reason":"s1","queries_observed":2,"queries_pending":3,"queries_dropped":4,"actions_applied":5,"actions_failed":6,"bytes_spent":7,"io_budget":8,"regret":9.5,"last_action":"s10","last_error":"s11"}`,

@@ -19,18 +19,10 @@ import (
 
 // RequestContext derives the operation context from a request: the
 // request context (cancelled on client disconnect), optionally bounded
-// by the Tasm-Deadline-Ms header, optionally carrying the
-// Tasm-Cache-Budget admission cap — the per-request knobs of the
+// by the Tasm-Deadline-Ms header — the one per-request knob of the
 // serving contract.
 func RequestContext(r *http.Request) (ctx context.Context, cancel context.CancelFunc, err error) {
 	ctx = r.Context()
-	if h := r.Header.Get(CacheBudgetHeader); h != "" {
-		budget, perr := strconv.ParseInt(h, 10, 64)
-		if perr != nil || budget < 0 {
-			return nil, nil, fmt.Errorf("%w: header %s=%q", ErrBadRequest, CacheBudgetHeader, h)
-		}
-		ctx = core.WithCacheAdmissionBudget(ctx, budget)
-	}
 	h := r.Header.Get(DeadlineHeader)
 	if h == "" {
 		ctx, cancel = context.WithCancel(ctx)

@@ -135,7 +135,8 @@ func TestLiveAppendSubscribeBothFramings(t *testing.T) {
 // and verifies the overload surface end to end: the client sees a
 // typed, retryable tasm.ErrIngestBackpressure; the raw HTTP response
 // is a 429 with a Retry-After; and the queued (not rejected) append
-// still commits.
+// still commits. Two appends race for the one queue slot, so which of
+// them queues is up to the scheduler, but exactly one must bounce.
 func TestAppendBackpressureTypedAnd429(t *testing.T) {
 	h := newHarness(t, server.Config{}, tasm.WithAppendQueueDepth(1))
 	bc := binaryClient(t, h)
@@ -164,8 +165,8 @@ func TestAppendBackpressureTypedAnd429(t *testing.T) {
 		_, err := bc.AppendContext(ctx, "cam", big)
 		bigErr <- err
 	}()
-	// Wait until the big batch is mid-commit, then put one append in the
-	// queue slot behind it.
+	// Wait until the big batch is mid-commit, then send two appends at
+	// once for the one queue slot behind it.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		meta, err := h.sm.Meta("cam")
@@ -180,18 +181,20 @@ func TestAppendBackpressureTypedAnd429(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	queuedErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err := h.c.AppendContext(ctx, "cam", v.Frames(total-10, total-5))
-		queuedErr <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
+	racers := make(chan error, 2)
+	for i, c := range []*client.Client{h.c, bc} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := c.AppendContext(ctx, "cam", v.Frames(total-10+5*i, total-5+5*i))
+			racers <- err
+		}()
+	}
 
-	// Queue full: the next append must bounce with the typed sentinel,
-	// and the client must classify it as retryable.
-	_, err := bc.AppendContext(ctx, "cam", v.Frames(total-5, total))
+	// The loser bounces at once with the typed sentinel, which the
+	// client classifies as retryable; the winner waits in the queue until
+	// the batch commits.
+	err := <-racers
 	if !errors.Is(err, tasm.ErrIngestBackpressure) {
 		t.Fatalf("append on full queue = %v, want ErrIngestBackpressure", err)
 	}
@@ -230,7 +233,7 @@ func TestAppendBackpressureTypedAnd429(t *testing.T) {
 	if err := <-bigErr; err != nil {
 		t.Fatalf("large append: %v", err)
 	}
-	if err := <-queuedErr; err != nil {
+	if err := <-racers; err != nil {
 		t.Fatalf("queued append: %v", err)
 	}
 	wg.Wait()

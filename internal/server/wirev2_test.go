@@ -2,7 +2,7 @@ package server_test
 
 // Wire protocol v2 tests: the binary frame streaming through the full
 // stack — negotiation at the handler, encoding on the wire, decoding
-// in the client — plus the per-request cache-budget knob.
+// in the client.
 
 import (
 	"context"
@@ -195,45 +195,5 @@ func TestBinaryContentTypeNegotiated(t *testing.T) {
 		if ct := res.Header.Get("Content-Type"); ct != c.want {
 			t.Fatalf("%s=%s: content type %q, want %q", c.hdr, c.val, ct, c.want)
 		}
-	}
-}
-
-// TestCacheBudgetHeader: a request under Tasm-Cache-Budget: 0 decodes
-// without polluting the daemon's decoded-tile cache; an uncapped
-// request fills it.
-func TestCacheBudgetHeader(t *testing.T) {
-	h := newHarness(t, server.Config{}, tasm.WithCacheBudget(64<<20))
-	capped, err := client.New(h.ts.URL, client.WithCacheBudget(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer capped.Close()
-	if _, _, err := capped.ScanSQLContext(context.Background(), trafficSQL); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.sm.CacheStats(); st.Entries != 0 {
-		t.Fatalf("budget-0 scan admitted %d cache entries", st.Entries)
-	}
-	// The uncapped default client fills the cache as usual.
-	if _, _, err := h.c.ScanSQLContext(context.Background(), trafficSQL); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.sm.CacheStats(); st.Entries == 0 {
-		t.Fatal("uncapped scan admitted nothing; the budget knob is stuck on")
-	}
-	// And a malformed budget is a bad request.
-	req, err := http.NewRequest(http.MethodPost, h.ts.URL+"/v1/scan",
-		strings.NewReader(`{"sql":"SELECT car FROM traffic"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(rpcwire.CacheBudgetHeader, "lots")
-	res, err := h.ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad budget header: status %d, want 400", res.StatusCode)
 	}
 }

@@ -512,7 +512,6 @@ func (rt *Router) StatsContext(ctx context.Context) (rpcwire.ShardedCacheStats, 
 			resp.BytesCached += sc.Stats.BytesCached
 			resp.Entries += sc.Stats.Entries
 			resp.Budget += sc.Stats.Budget
-			resp.Pinned += sc.Stats.Pinned
 		}
 		resp.Shards = append(resp.Shards, sc)
 	}

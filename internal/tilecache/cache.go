@@ -57,8 +57,6 @@ type Stats struct {
 	BytesCached   int64 `json:"bytes_cached"`
 	Entries       int   `json:"entries"`
 	Budget        int64 `json:"budget"`
-	// Pinned counts (video, SOT) pairs currently pinned against eviction.
-	Pinned int `json:"pinned,omitempty"`
 }
 
 type entry struct {
@@ -97,14 +95,6 @@ type Cache struct {
 	gens   map[string]map[int]uint64
 	epochs map[string]uint64 // never reset, so a re-created video starts fresh
 
-	// pinMu guards pins, the (video, SOT) pairs eviction passes over —
-	// the re-tiler pins a freshly re-tiled hot SOT so the warm decode it
-	// just paid for is not the next eviction victim. pinMu is a leaf
-	// lock: it is taken under shard locks (isPinned during eviction) and
-	// never the other way around.
-	pinMu sync.Mutex
-	pins  map[string]map[int]bool
-
 	hits, misses, evictions, invalidations atomic.Int64
 }
 
@@ -119,7 +109,6 @@ func New(budget int64) *Cache {
 		budget: budget,
 		gens:   map[string]map[int]uint64{},
 		epochs: map[string]uint64{},
-		pins:   map[string]map[int]bool{},
 	}
 	for i := range c.shards {
 		c.shards[i].items = map[Key]*entry{}
@@ -234,30 +223,24 @@ func (c *Cache) Put(k Key, frames []*frame.Frame) (evicted int) {
 		s.pushFront(e)
 	}
 	// Evict from this shard first (its lock is already held), never the
-	// entry just inserted and passing over pinned SOTs' entries.
-	evicted += c.evictShardLocked(s, k, true)
+	// entry just inserted.
+	evicted += c.evictShardLocked(s, k)
 	s.mu.Unlock()
 	if c.bytes.Load() > c.budget {
-		evicted += c.evictAcrossShards(k, true)
-	}
-	// If pins alone hold the cache over budget, evict pinned entries
-	// rather than letting the cache grow without bound: a pin is a
-	// priority, not a leak.
-	if c.bytes.Load() > c.budget {
-		evicted += c.evictAcrossShards(k, false)
+		evicted += c.evictAcrossShards(k)
 	}
 	c.evictions.Add(int64(evicted))
 	return evicted
 }
 
-// evictShardLocked drops entries from the shard's LRU tail (skipping keep
-// and, when skipPinned, pinned SOTs) until the cache is within budget or
-// the shard has no victim left. The shard lock must be held.
-func (c *Cache) evictShardLocked(s *shard, keep Key, skipPinned bool) (evicted int) {
+// evictShardLocked drops entries from the shard's LRU tail (skipping keep)
+// until the cache is within budget or the shard has no victim left. The
+// shard lock must be held.
+func (c *Cache) evictShardLocked(s *shard, keep Key) (evicted int) {
 	e := s.tail
 	for c.bytes.Load() > c.budget && e != nil {
 		prev := e.prev
-		if e.key != keep && !(skipPinned && c.isPinned(e.key)) {
+		if e.key != keep {
 			c.bytes.Add(-e.bytes)
 			s.remove(e)
 			evicted++
@@ -267,19 +250,15 @@ func (c *Cache) evictShardLocked(s *shard, keep Key, skipPinned bool) (evicted i
 	return evicted
 }
 
-// evictAcrossShards drops the globally least-recently-used eligible entry
-// (sparing keep, and pinned SOTs when skipPinned) until the cache is
-// within budget or no victim remains. Each round scans every shard's tail
-// region for its oldest eligible entry, picks the one with the smallest
-// use-clock reading, then re-locks that shard to evict. Locks are taken
-// one shard at a time, so concurrent Puts may interleave; the re-locked
-// eviction is best-effort — it takes the shard's current oldest eligible
-// entry, which a race may have changed — and the loop terminates once a
-// round finds no victim anywhere.
-func (c *Cache) evictAcrossShards(keep Key, skipPinned bool) (evicted int) {
-	eligible := func(e *entry) bool {
-		return e.key != keep && !(skipPinned && c.isPinned(e.key))
-	}
+// evictAcrossShards drops the globally least-recently-used entry other
+// than keep until the cache is within budget or no victim remains. Each
+// round scans every shard's tail for its oldest eligible entry, picks the
+// one with the smallest use-clock reading, then re-locks that shard to
+// evict. Locks are taken one shard at a time, so concurrent Puts may
+// interleave; the re-locked eviction is best-effort — it takes the
+// shard's current oldest eligible entry, which a race may have changed —
+// and the loop terminates once a round finds no victim anywhere.
+func (c *Cache) evictAcrossShards(keep Key) (evicted int) {
 	for c.bytes.Load() > c.budget {
 		victimShard := -1
 		var victimUse uint64
@@ -287,7 +266,7 @@ func (c *Cache) evictAcrossShards(keep Key, skipPinned bool) (evicted int) {
 			s := &c.shards[i]
 			s.mu.Lock()
 			for e := s.tail; e != nil; e = e.prev {
-				if eligible(e) {
+				if e.key != keep {
 					if victimShard < 0 || e.use < victimUse {
 						victimShard, victimUse = i, e.use
 					}
@@ -302,7 +281,7 @@ func (c *Cache) evictAcrossShards(keep Key, skipPinned bool) (evicted int) {
 		s := &c.shards[victimShard]
 		s.mu.Lock()
 		for e := s.tail; e != nil; e = e.prev {
-			if eligible(e) {
+			if e.key != keep {
 				c.bytes.Add(-e.bytes)
 				s.remove(e)
 				evicted++
@@ -312,45 +291,6 @@ func (c *Cache) evictAcrossShards(keep Key, skipPinned bool) (evicted int) {
 		s.mu.Unlock()
 	}
 	return evicted
-}
-
-// Pin marks (video, sot) as eviction-protected: its cached decodes are
-// passed over by LRU eviction (unless pins alone exceed the budget). The
-// re-tiler pins the hot SOT it just re-tiled and warmed; callers are
-// expected to keep the pinned set small and Unpin as interest moves on.
-func (c *Cache) Pin(video string, sot int) {
-	if c == nil {
-		return
-	}
-	c.pinMu.Lock()
-	m := c.pins[video]
-	if m == nil {
-		m = map[int]bool{}
-		c.pins[video] = m
-	}
-	m[sot] = true
-	c.pinMu.Unlock()
-}
-
-// Unpin removes the eviction protection of (video, sot).
-func (c *Cache) Unpin(video string, sot int) {
-	if c == nil {
-		return
-	}
-	c.pinMu.Lock()
-	if m := c.pins[video]; m != nil {
-		delete(m, sot)
-		if len(m) == 0 {
-			delete(c.pins, video)
-		}
-	}
-	c.pinMu.Unlock()
-}
-
-func (c *Cache) isPinned(k Key) bool {
-	c.pinMu.Lock()
-	defer c.pinMu.Unlock()
-	return c.pins[k.Video][k.SOT]
 }
 
 // InvalidateSOT bumps the SOT's generation and frees every cached entry
@@ -383,9 +323,6 @@ func (c *Cache) InvalidateVideo(video string) {
 	c.epochs[video]++
 	delete(c.gens, video)
 	c.genMu.Unlock()
-	c.pinMu.Lock()
-	delete(c.pins, video)
-	c.pinMu.Unlock()
 	c.sweep(func(k Key) bool { return k.Video == video })
 }
 
@@ -423,11 +360,6 @@ func (c *Cache) Stats() Stats {
 		st.Entries += len(s.items)
 		s.mu.Unlock()
 	}
-	c.pinMu.Lock()
-	for _, m := range c.pins {
-		st.Pinned += len(m)
-	}
-	c.pinMu.Unlock()
 	return st
 }
 

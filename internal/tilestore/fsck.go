@@ -11,6 +11,30 @@ import (
 // frames_<a>-<b>.r<N>) and their .staging working copies.
 var sotDirPattern = regexp.MustCompile(`^frames_(\d+)-(\d+)(\.r(\d+))?(\.staging)?$`)
 
+// isDebrisName reports whether a video-directory entry other than
+// manifest.json is one this store writes: a version directory (live or
+// dead), staging debris, or a manifest temp file. Anything else is
+// foreign — GC leaves it alone and FSCK reports it as a problem.
+func isDebrisName(base string) bool {
+	return sotDirPattern.MatchString(base) || base == "manifest.json.tmp"
+}
+
+// leasedDirsLocked returns the full paths of the version directories
+// read leases currently pin. Paths, not base names: a lease on a deleted
+// generation's tombstone .trash/v.e0/frames_0-9 must not shelter a
+// same-named directory of a re-created v.
+func (s *Store) leasedDirsLocked() map[string]bool {
+	leased := map[string]bool{}
+	s.leaseMu.Lock()
+	defer s.leaseMu.Unlock()
+	for _, e := range s.leases {
+		if e.refs > 0 {
+			leased[e.dir] = true
+		}
+	}
+	return leased
+}
+
 // GCReport describes what one GC pass reclaimed.
 type GCReport struct {
 	// Removed lists the paths deleted: dead version directories, staging
@@ -36,13 +60,14 @@ func (s *Store) GC() (GCReport, error) {
 	if err != nil {
 		return rep, err
 	}
+	leased := s.leasedDirsLocked()
 	for _, v := range videos {
 		if !v.IsDir() {
 			continue
 		}
 		name := v.Name()
 		if name == trashDirName {
-			if err := s.gcTrashLocked(&rep); err != nil {
+			if err := s.gcTrashLocked(&rep, leased); err != nil {
 				return rep, err
 			}
 			continue
@@ -69,15 +94,6 @@ func (s *Store) GC() (GCReport, error) {
 				}
 			}
 		}
-		leased := map[string]bool{}
-		s.leaseMu.Lock()
-		for k, e := range s.leases {
-			if k.video == name && e.refs > 0 {
-				leased[filepath.Base(e.dir)] = true
-			}
-		}
-		s.leaseMu.Unlock()
-
 		entries, err := s.fs.ReadDir(vdir)
 		if err != nil {
 			return rep, err
@@ -91,10 +107,10 @@ func (s *Store) GC() (GCReport, error) {
 				continue
 			case live[base]:
 				continue
-			case leased[base]:
+			case leased[p]:
 				rep.Deferred = append(rep.Deferred, p)
 				continue
-			case !sotDirPattern.MatchString(base) && base != "manifest.json.tmp" && base != "manifest.json":
+			case !isDebrisName(base) && base != "manifest.json":
 				// Not something this store wrote; fsck flags it, GC leaves
 				// it alone.
 				continue
@@ -122,16 +138,8 @@ func (s *Store) GC() (GCReport, error) {
 // (.trash/<video>.e<epoch>/frames_…) that no lease still pins — the
 // normal case only after a crash, since releases reap their own
 // tombstones.
-func (s *Store) gcTrashLocked(rep *GCReport) error {
+func (s *Store) gcTrashLocked(rep *GCReport, leased map[string]bool) error {
 	trash := filepath.Join(s.root, trashDirName)
-	pinned := map[string]bool{}
-	s.leaseMu.Lock()
-	for _, e := range s.leases {
-		if e.refs > 0 {
-			pinned[e.dir] = true
-		}
-	}
-	s.leaseMu.Unlock()
 	epochs, err := s.fs.ReadDir(trash)
 	if err != nil {
 		return err
@@ -145,7 +153,7 @@ func (s *Store) gcTrashLocked(rep *GCReport) error {
 		kept := 0
 		for _, ent := range entries {
 			p := filepath.Join(edir, ent.Name())
-			if pinned[p] {
+			if leased[p] {
 				rep.Deferred = append(rep.Deferred, p)
 				kept++
 				continue
@@ -177,8 +185,9 @@ type FsckReport struct {
 	// version directories or tile files, and tiles whose frame count or
 	// dimensions contradict the manifest's layout.
 	Problems []string `json:"problems"`
-	// Orphans are paths GC would reclaim (dead versions, staging debris);
-	// they are not integrity violations.
+	// Orphans are paths GC would reclaim (dead versions, staging debris,
+	// manifest-less video directories holding nothing foreign); they are
+	// not integrity violations. Leased ones GC defers until release.
 	Orphans []string `json:"orphans"`
 }
 
@@ -188,8 +197,9 @@ func (r FsckReport) OK() bool { return len(r.Problems) == 0 }
 // FSCK verifies every video's manifest against the bytes on disk: the
 // live version directory of each SOT must exist and hold one decodable
 // tile file per layout tile, with the frame count and dimensions the
-// manifest promises. Unreferenced directories are reported as orphans for
-// GC. FSCK only reads; it never repairs.
+// manifest promises. Unreferenced entries GC would reclaim are reported
+// as orphans, classified exactly as GC classifies them; foreign entries
+// are problems. FSCK only reads; it never repairs.
 func (s *Store) FSCK() (FsckReport, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -203,6 +213,7 @@ func (s *Store) FSCK() (FsckReport, error) {
 	if err != nil {
 		return rep, err
 	}
+	leased := s.leasedDirsLocked()
 	for _, v := range videos {
 		if !v.IsDir() {
 			continue
@@ -210,16 +221,6 @@ func (s *Store) FSCK() (FsckReport, error) {
 		name := v.Name()
 		vdir := filepath.Join(s.root, name)
 		if name == trashDirName {
-			// Tombstones of deleted videos; unpinned ones are GC's to
-			// reclaim.
-			pinned := map[string]bool{}
-			s.leaseMu.Lock()
-			for _, e := range s.leases {
-				if e.refs > 0 {
-					pinned[e.dir] = true
-				}
-			}
-			s.leaseMu.Unlock()
 			// .trash/<video>.e<epoch>/<version dir>: every unpinned
 			// entry — tombstones and quarantined versions alike — is an
 			// orphan for GC.
@@ -234,7 +235,7 @@ func (s *Store) FSCK() (FsckReport, error) {
 						continue
 					}
 					for _, ent := range ents {
-						if p := filepath.Join(edir, ent.Name()); ent.IsDir() && !pinned[p] {
+						if p := filepath.Join(edir, ent.Name()); ent.IsDir() && !leased[p] {
 							rep.Orphans = append(rep.Orphans, p)
 						}
 					}
@@ -246,8 +247,13 @@ func (s *Store) FSCK() (FsckReport, error) {
 		if metaErr != nil {
 			if _, err := s.fs.Stat(filepath.Join(vdir, "manifest.json")); err == nil {
 				problemf("video %s: %v", name, metaErr)
-			} else {
-				rep.Orphans = append(rep.Orphans, vdir)
+				continue
+			}
+			// No manifest: crash debris. GC reclaims the recognised
+			// entries and then the directory itself, unless a foreign or
+			// leased entry keeps it.
+			if err := s.fsckEntries(&rep, name, nil, leased); err != nil {
+				return rep, err
 			}
 			continue
 		}
@@ -288,23 +294,42 @@ func (s *Store) FSCK() (FsckReport, error) {
 		if covered != meta.FrameCount {
 			problemf("video %s: SOTs cover %d frames, manifest says %d", name, covered, meta.FrameCount)
 		}
-		entries, err := s.fs.ReadDir(vdir)
-		if err != nil {
+		if err := s.fsckEntries(&rep, name, live, leased); err != nil {
 			return rep, err
-		}
-		for _, ent := range entries {
-			base := ent.Name()
-			if base == "manifest.json" || live[base] {
-				continue
-			}
-			if sotDirPattern.MatchString(base) || base == "manifest.json.tmp" {
-				rep.Orphans = append(rep.Orphans, filepath.Join(vdir, base))
-			} else {
-				problemf("video %s: unrecognized entry %s", name, base)
-			}
 		}
 	}
 	sort.Strings(rep.Problems)
 	sort.Strings(rep.Orphans)
 	return rep, nil
+}
+
+// fsckEntries classifies one video directory's entries as GC would:
+// manifest.json and live versions stay, recognised debris is an orphan,
+// and a foreign entry is a problem. live == nil marks a manifest-less
+// directory, which is itself an orphan once GC could empty it: nothing
+// foreign and nothing leased inside.
+func (s *Store) fsckEntries(rep *FsckReport, video string, live, leased map[string]bool) error {
+	vdir := filepath.Join(s.root, video)
+	entries, err := s.fs.ReadDir(vdir)
+	if err != nil {
+		return err
+	}
+	kept := false
+	for _, ent := range entries {
+		base := ent.Name()
+		p := filepath.Join(vdir, base)
+		switch {
+		case base == "manifest.json" || live[base]:
+		case isDebrisName(base):
+			rep.Orphans = append(rep.Orphans, p)
+			kept = kept || leased[p]
+		default:
+			rep.Problems = append(rep.Problems, fmt.Sprintf("video %s: unrecognized entry %s", video, base))
+			kept = true
+		}
+	}
+	if live == nil && !kept {
+		rep.Orphans = append(rep.Orphans, vdir)
+	}
+	return nil
 }

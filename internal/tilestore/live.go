@@ -191,15 +191,27 @@ func (s *Store) TrimExpired(video string) (TrimReport, error) {
 	if !meta.Live || pol == nil || len(meta.SOTs) == 0 {
 		return rep, nil
 	}
-	// Size every SOT up front: the bytes bound needs the total, and the
-	// report wants freed bytes either way.
+	// Size SOTs only as the policy needs: a bytes bound needs every
+	// SOT's size up front; an age-only policy sizes just its victims, for
+	// the report's freed bytes. Sizing stats every tile under the
+	// exclusive catalog lock that snapshots wait on.
 	sizes := make([]int64, len(meta.SOTs))
+	sizeUpTo := func(n int) error {
+		for i := range n {
+			if sizes[i], err = s.sotBytesLocked(video, meta.SOTs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var total int64
-	for i, sot := range meta.SOTs {
-		if sizes[i], err = s.sotBytesLocked(video, sot); err != nil {
+	if pol.MaxBytes > 0 {
+		if err := sizeUpTo(len(meta.SOTs)); err != nil {
 			return rep, err
 		}
-		total += sizes[i]
+		for _, n := range sizes {
+			total += n
+		}
 	}
 	cut := 0
 	// The newest SOT is never trimmed (cut < len-1): a live video always
@@ -221,6 +233,11 @@ func (s *Store) TrimExpired(video string) (TrimReport, error) {
 	}
 	if cut == 0 {
 		return rep, nil
+	}
+	if pol.MaxBytes <= 0 {
+		if err := sizeUpTo(cut); err != nil {
+			return rep, err
+		}
 	}
 	trimmed := meta.SOTs[:cut]
 	// Resolve the victims' directories before the manifest forgets them.

@@ -3,9 +3,13 @@ package tilestore
 import (
 	"errors"
 	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/tasm-repro/tasm/internal/container"
+	"github.com/tasm-repro/tasm/internal/fsio"
 	"github.com/tasm-repro/tasm/internal/layout"
 	"github.com/tasm-repro/tasm/internal/tasmerr"
 )
@@ -170,6 +174,58 @@ func TestTrimExpiredByAge(t *testing.T) {
 	rep, err = s.TrimExpired("cam")
 	if err != nil || len(rep.Removed) != 0 {
 		t.Fatalf("second trim = %+v, %v", rep, err)
+	}
+}
+
+// statCountingFS counts Stat calls on tile files.
+type statCountingFS struct {
+	fsio.FS
+	tileStats atomic.Int64
+}
+
+func (c *statCountingFS) Stat(p string) (os.FileInfo, error) {
+	if strings.HasPrefix(filepath.Base(p), "tile") {
+		c.tileStats.Add(1)
+	}
+	return c.FS.Stat(p)
+}
+
+// TestTrimByAgeSizesOnlyVictims: an age-only policy stats just the tiles
+// of the SOTs it trims — not every tile of every SOT, which it would do
+// under the exclusive catalog lock after every live append — and still
+// reports the bytes they held.
+func TestTrimByAgeSizesOnlyVictims(t *testing.T) {
+	fs := &statCountingFS{FS: fsio.OS{}}
+	s, err := Open(t.TempDir(), WithFS(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sots = 20
+	if err := s.CreateLiveVideo(VideoMeta{Name: "cam", W: 128, H: 96, FPS: 10, GOPLength: 10,
+		Retention: &RetentionPolicy{MaxAgeFrames: 10 * (sots - 2)}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range sots {
+		appendGOP(t, s, "cam", i)
+	}
+	before, err := s.VideoBytes("cam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.tileStats.Store(0)
+	rep, err := s.TrimExpired("cam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.tileStats.Load(); got != 2 { // two victims, one tile each
+		t.Fatalf("age-only trim of 2 of %d SOTs stat'ed %d tile files, want 2", sots, got)
+	}
+	after, err := s.VideoBytes("cam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Removed) != 2 || rep.TrimmedTo != 20 || rep.FreedBytes != before-after || rep.FreedBytes <= 0 {
+		t.Fatalf("report = %+v, want SOTs [0 1] freeing %d bytes", rep, before-after)
 	}
 }
 

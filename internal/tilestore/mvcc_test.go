@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -372,6 +373,144 @@ func TestGCDefersLeasedVersions(t *testing.T) {
 	lease.Release()
 	if _, err := os.Stat(filepath.Join(s.Root(), "v", "frames_0-9")); !os.IsNotExist(err) {
 		t.Fatal("deferred dir not reaped on release")
+	}
+}
+
+// TestGCMatchesLeasesByPath: a lease on a deleted generation's
+// tombstone .trash/v.e0/frames_0-9 must not shelter a crash-left
+// v/frames_0-9 of the re-created v — GC reclaims it, and defers only the
+// leased tombstones.
+func TestGCMatchesLeasesByPath(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	buildVideo(t, s, "v")
+	_, lease, err := s.Snapshot("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	if err := s.DeleteVideo("v"); err != nil {
+		t.Fatal(err)
+	}
+	meta := buildVideo(t, s, "v")
+	// Re-tile SOT 0 so frames_0-9 is no live name of the new v, then
+	// leave a crash-left directory under that name.
+	l11 := layout.Single(meta.W, meta.H)
+	tiles, err := container.EncodeTiled(makeFrames(meta.W, meta.H, 10, 0), l11, 10, params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReplaceSOT("v", 0, l11, tiles); err != nil {
+		t.Fatal(err)
+	}
+	debris := filepath.Join(s.Root(), "v", "frames_0-9")
+	if err := os.MkdirAll(debris, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.GC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(rep.Removed, debris) || slices.Contains(rep.Deferred, debris) {
+		t.Fatalf("crash-left %s not reclaimed: %+v", debris, rep)
+	}
+	if _, err := os.Stat(debris); !os.IsNotExist(err) {
+		t.Fatalf("crash-left dir survives GC: %v", err)
+	}
+	for _, p := range rep.Deferred {
+		if !strings.Contains(p, trashDirName) {
+			t.Fatalf("GC deferred %s, which no lease pins", p)
+		}
+	}
+	if len(rep.Deferred) != 2 {
+		t.Fatalf("Deferred = %v, want the two leased tombstones", rep.Deferred)
+	}
+}
+
+// TestFSCKOrphansAreWhatGCReclaims seeds a store with every kind of
+// debris and asserts FSCK's orphans are exactly what GC then removes or
+// defers: a manifest-less directory holding a foreign entry is not an
+// orphan (GC keeps it), only its recognised entries are. After the GC
+// the orphans left are the deferred ones, and after the last lease drops
+// there are none.
+func TestFSCKOrphansAreWhatGCReclaims(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	root := s.Root()
+	meta := buildVideo(t, s, "v")
+	buildVideo(t, s, "w")
+	_, lease, err := s.Snapshot("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	_, wlease, err := s.Snapshot("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlease.Release()
+	// A leased dead version in v and leased tombstones of a deleted w.
+	l11 := layout.Single(meta.W, meta.H)
+	tiles, err := container.EncodeTiled(makeFrames(meta.W, meta.H, 10, 0), l11, 10, params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReplaceSOT("v", 1, l11, tiles); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteVideo("w"); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{
+		"v/frames_0-9.staging", "v/frames_90-99.r3", // staging debris, stray version
+		"crashed/frames_0-9",     // manifest-less video dir
+		"empty",                  // empty manifest-less dir
+		"foreignonly/frames_0-9", // manifest-less, beside a foreign file
+		filepath.Join(trashDirName, "gone.e0", "frames_0-9"), // unpinned tombstone
+	} {
+		if err := os.MkdirAll(filepath.Join(root, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []string{"v/manifest.json.tmp", "v/notes.txt", "foreignonly/README"} {
+		if err := os.WriteFile(filepath.Join(root, f), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before, err := s.FSCK()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(before.Orphans, filepath.Join(root, "foreignonly")) {
+		t.Fatalf("a directory holding a foreign entry is reported as an orphan: %v", before.Orphans)
+	}
+	if len(before.Problems) != 2 { // v/notes.txt, foreignonly/README
+		t.Fatalf("Problems = %v", before.Problems)
+	}
+	gc, err := s.GC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range before.Orphans {
+		if !slices.Contains(gc.Removed, p) && !slices.Contains(gc.Deferred, p) {
+			t.Fatalf("fsck orphan %s neither removed nor deferred by GC %+v", p, gc)
+		}
+	}
+	if !slices.Contains(gc.Deferred, filepath.Join(root, "v", "frames_10-19")) {
+		t.Fatalf("leased dead version not deferred: %v", gc.Deferred)
+	}
+	after, err := s.FSCK()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range after.Orphans {
+		if !slices.Contains(gc.Deferred, p) {
+			t.Fatalf("orphan %s survives GC without a lease", p)
+		}
+	}
+	lease.Release()
+	wlease.Release()
+	if after, err = s.FSCK(); err != nil || len(after.Orphans) != 0 || len(after.Problems) != 2 {
+		t.Fatalf("after GC and release: %+v, %v", after, err)
 	}
 }
 

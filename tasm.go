@@ -299,17 +299,6 @@ func WithForceOpen() Option {
 	return func(s *settings) { s.cfg.ForceOpen = true }
 }
 
-// WithRequestCacheBudget returns a context capping how many bytes of
-// newly decoded tiles the operations run under it may insert into the
-// shared decoded-tile cache (0 = insert nothing). Reads still hit the
-// cache — the budget bounds pollution, not reuse: a one-off sequential
-// sweep run under a zero budget cannot evict the working set repeated
-// queries depend on. Remote callers set the same knob per request with
-// the Tasm-Cache-Budget header (client.WithCacheBudget).
-func WithRequestCacheBudget(ctx context.Context, bytes int64) context.Context {
-	return core.WithCacheAdmissionBudget(ctx, bytes)
-}
-
 // StorageManager is TASM: the tile-aware bottom layer of a VDBMS.
 type StorageManager struct {
 	m       *core.Manager
@@ -328,8 +317,6 @@ func Open(dir string, opts ...Option) (*StorageManager, error) {
 	}
 	sm := &StorageManager{m: m}
 	if s.adaptive {
-		// Warm-and-pin only pays off when there is a cache to warm.
-		s.autotile.Warm = s.cfg.CacheBudget > 0
 		sm.retiler = adapt.NewRetiler(m, nil, s.autotile)
 		m.SetQueryObserver(sm.retiler)
 		sm.retiler.Start()
